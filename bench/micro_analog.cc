@@ -2,7 +2,9 @@
  * @file
  * Microbenchmarks of the analog circuit primitives, plus the Section
  * IV-A ablation: charge-sharing tunable capacitor versus the naive
- * binary-weighted MAC sampling array (the 32x energy claim).
+ * binary-weighted MAC sampling array (the 32x energy claim), and the
+ * layer-level costs of the functional engine: one keyed Gaussian and
+ * one depth-1 MiniGoogLeNet frame through RedEyeDevice.
  */
 
 #include <benchmark/benchmark.h>
@@ -13,6 +15,9 @@
 #include "analog/sar_adc.hh"
 #include "analog/tunable_cap.hh"
 #include "core/rng.hh"
+#include "models/mini_googlenet.hh"
+#include "nn/network.hh"
+#include "redeye/device.hh"
 
 using namespace redeye;
 using namespace redeye::analog;
@@ -105,6 +110,51 @@ BM_ChargeSharingVsNaive(benchmark::State &state)
         cap.naiveDesignEnergy() / cap.worstCaseEnergy();
 }
 BENCHMARK(BM_ChargeSharingVsNaive);
+
+/** One keyed normal draw: a fresh element stream, as a conv window. */
+void
+BM_KeyedGaussian(benchmark::State &state)
+{
+    const std::uint64_t layer_key = keyedLayer(0x5eed, 0);
+    std::uint64_t element = 0;
+    for (auto _ : state) {
+        KeyedRng rng(layer_key, element++);
+        benchmark::DoNotOptimize(rng.normal());
+    }
+}
+BENCHMARK(BM_KeyedGaussian);
+
+/**
+ * One depth-1 MiniGoogLeNet frame (conv1 + ReLU, pool1, 4-bit
+ * readout) at 40 dB, as the serving device stage runs it: the plan is
+ * built once, the device per frame.
+ */
+void
+BM_DeviceFrame(benchmark::State &state)
+{
+    Rng weights(1);
+    auto net = models::buildMiniGoogLeNet(10, weights);
+    arch::ColumnArrayConfig cfg;
+    cfg.columns = models::kMiniInputSize;
+    cfg.convSnrDb = 40.0;
+    cfg.adcBits = 4;
+    const auto plan = arch::AnalogPlan::build(
+        *net, models::miniGoogLeNetAnalogLayers(1), cfg.weightBits);
+    Tensor x(Shape(1, 3, models::kMiniInputSize,
+                   models::kMiniInputSize));
+    Rng pixels(2);
+    x.fillUniform(pixels, 0.0f, 1.0f);
+    std::uint64_t frame = 0;
+    for (auto _ : state) {
+        arch::RedEyeDevice device(cfg, ProcessParams::typical(),
+                                  Rng(streamRng(3, 0, frame++).raw()));
+        benchmark::DoNotOptimize(device.run(*plan, x).features.data());
+    }
+    // conv1: 5x5 taps over 3 input channels per output element.
+    state.counters["conv1_macs"] = static_cast<double>(
+        net->nodeShape("conv1").size() * 3 * 5 * 5);
+}
+BENCHMARK(BM_DeviceFrame)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -57,8 +57,9 @@ DynamicComparator::timeoutEnergy() const
     return params_.energyPerDecisionJ + extra;
 }
 
+template <class Gen>
 Decision
-DynamicComparator::compare(double a, double b, Rng &rng)
+DynamicComparator::decide(double a, double b, Gen &rng)
 {
     Decision d;
     const double noisy_delta = (a - b) +
@@ -86,6 +87,18 @@ DynamicComparator::compare(double a, double b, Rng &rng)
     if (d.forced)
         ++forcedCount_;
     return d;
+}
+
+Decision
+DynamicComparator::compare(double a, double b, Rng &rng)
+{
+    return decide(a, b, rng);
+}
+
+Decision
+DynamicComparator::compare(double a, double b, KeyedRng &rng)
+{
+    return decide(a, b, rng);
 }
 
 } // namespace analog

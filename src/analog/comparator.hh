@@ -16,6 +16,7 @@
 
 namespace redeye {
 
+class KeyedRng;
 class Rng;
 
 namespace analog {
@@ -55,6 +56,9 @@ class DynamicComparator
      */
     Decision compare(double a, double b, Rng &rng);
 
+    /** As above, drawing from a keyed stream (core/rng.hh). */
+    Decision compare(double a, double b, KeyedRng &rng);
+
     /** Decision time for a given input difference (pre-timeout). */
     double decisionTime(double delta_v) const;
 
@@ -81,6 +85,9 @@ class DynamicComparator
     void resetEnergy() { energyJ_ = 0.0; }
 
   private:
+    /** Shared body of the compare() overloads. */
+    template <class Gen> Decision decide(double a, double b, Gen &rng);
+
     ComparatorParams params_;
     ProcessParams process_;
     double energyJ_ = 0.0;

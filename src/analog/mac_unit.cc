@@ -138,6 +138,22 @@ MacUnit::systematicGain(std::size_t taps) const
                     static_cast<double>(cycles(taps)));
 }
 
+MacWindowModel
+MacUnit::windowModel() const
+{
+    const double load = feedbackCapF_ + dampingCapF_;
+    MacWindowModel m;
+    m.bitNoiseRms = tunable_.unitNoiseRms();
+    m.bitEnergyJ = tunable_.energyPerApply(1);
+    m.settleGain = 1.0 - opAmp_.settlingError(
+                             opAmp_.settlingTime(load), load);
+    m.opAmpNoiseRms = opAmp_.inputNoiseRms(load);
+    m.dampNoiseRms = ktcNoiseRms(dampingCapF_, process_);
+    m.cycleEnergyJ = opAmp_.settleEnergy(load) +
+                     chargeEnergy(dampingCapF_, process_.signalSwing);
+    return m;
+}
+
 void
 MacUnit::resetEnergy()
 {

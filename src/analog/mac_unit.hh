@@ -33,6 +33,23 @@ struct MacParams {
     OpAmpParams opAmp;        ///< accumulation amplifier
 };
 
+/**
+ * Closed-form description of one multiplyAccumulate() window: the
+ * per-event noise and energy terms its per-tap simulation draws and
+ * accrues. Given the inputs, every noise source of a window is an
+ * independent zero-mean Gaussian, so a window's output is the
+ * attenuated ideal sum plus one Gaussian whose variance follows from
+ * these terms (DESIGN.md, "Closed-form analog windows").
+ */
+struct MacWindowModel {
+    double bitNoiseRms = 0.0;  ///< kT/C0 of one sampled weight bit [V]
+    double bitEnergyJ = 0.0;   ///< sampling energy per set weight bit
+    double settleGain = 1.0;   ///< signal kept per settle, 1 - err
+    double opAmpNoiseRms = 0.0; ///< op amp noise per settle [V]
+    double dampNoiseRms = 0.0; ///< damping-cap kT/C at the output [V]
+    double cycleEnergyJ = 0.0; ///< settle + damping charge per cycle
+};
+
 /** 8-input mixed-signal MAC. */
 class MacUnit
 {
@@ -90,6 +107,12 @@ class MacUnit
      */
     double systematicGain(std::size_t taps) const;
 
+    /** Closed-form terms of one window at the programmed fidelity. */
+    MacWindowModel windowModel() const;
+
+    /** Accumulate cycles (op amp settles) needed for @p taps inputs. */
+    std::size_t cycles(std::size_t taps) const;
+
     /** Total energy accrued by multiplyAccumulate() calls [J]. */
     double energyJ() const { return energyJ_; }
 
@@ -102,9 +125,6 @@ class MacUnit
     const OpAmp &opAmp() const { return opAmp_; }
 
   private:
-    /** Accumulate cycles needed for @p taps inputs. */
-    std::size_t cycles(std::size_t taps) const;
-
     MacParams params_;
     ProcessParams baseProcess_; ///< as constructed (unit cap at C0)
     ProcessParams process_;     ///< with fidelity-scaled unit cap

@@ -52,8 +52,9 @@ SarAdc::totalCapF() const
     return sum;
 }
 
+template <class Gen>
 std::uint32_t
-SarAdc::convert(double v_in, Rng &rng)
+SarAdc::sample(double v_in, Gen &rng)
 {
     const double v = std::clamp(v_in, 0.0, vref());
     const double c_sigma = totalCapF();
@@ -76,6 +77,18 @@ SarAdc::convert(double v_in, Rng &rng)
     energyJ_ += comparator_.energyJ();
     comparator_.resetEnergy();
     return code;
+}
+
+std::uint32_t
+SarAdc::convert(double v_in, Rng &rng)
+{
+    return sample(v_in, rng);
+}
+
+std::uint32_t
+SarAdc::convert(double v_in, KeyedRng &rng)
+{
+    return sample(v_in, rng);
 }
 
 double

@@ -29,6 +29,7 @@
 
 namespace redeye {
 
+class KeyedRng;
 class Rng;
 
 namespace analog {
@@ -68,6 +69,9 @@ class SarAdc
      */
     std::uint32_t convert(double v_in, Rng &rng);
 
+    /** As above, drawing from a keyed stream (core/rng.hh). */
+    std::uint32_t convert(double v_in, KeyedRng &rng);
+
     /** Ideal mid-rise reconstruction of a code to volts. */
     double reconstruct(std::uint32_t code) const;
 
@@ -94,6 +98,9 @@ class SarAdc
     const SarAdcParams &adcParams() const { return params_; }
 
   private:
+    /** Shared body of the convert() overloads. */
+    template <class Gen> std::uint32_t sample(double v_in, Gen &rng);
+
     SarAdcParams params_;
     ProcessParams process_;
     DynamicComparator comparator_;

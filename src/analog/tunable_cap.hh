@@ -53,6 +53,9 @@ class TunableCapacitor
      */
     double apply(double v_in, int weight, Rng &rng);
 
+    /** kT/C0 noise of one unit sampling capacitor [V rms]. */
+    double unitNoiseRms() const { return unitNoiseRms_; }
+
     /** Output-referred RMS noise for a given weight. */
     double outputNoiseRms(int weight) const;
 

@@ -30,11 +30,30 @@
  *    like the old sequential-engine behaviour.
  *
  * streamRng() below implements the derivation.
+ *
+ * ## Keyed draws
+ *
+ * The functional column array needs a handful of draws per output
+ * element (one Gaussian per conv window, a few per comparator or SAR
+ * conversion), millions per frame. For those, KeyedRng is a
+ * SplitMix64 stream seeded from an (array key, layer ordinal,
+ * element) triple:
+ *
+ *     seed(key, layer, element) =
+ *         splitmix64(keyedLayer(key, layer) ^ element)
+ *     keyedLayer(key, layer) =
+ *         splitmix64(key ^ splitmix64(layer + kLayerSalt))
+ *
+ * For a fixed (key, layer) the map element -> seed is a bijection,
+ * so no two elements of a layer share a stream. An element's draws
+ * depend on nothing but its triple: not on which physical column
+ * serves it, nor on the order elements are visited.
  */
 
 #ifndef REDEYE_CORE_RNG_HH
 #define REDEYE_CORE_RNG_HH
 
+#include <cmath>
 #include <cstdint>
 #include <random>
 
@@ -138,6 +157,88 @@ streamRng(std::uint64_t seed, std::uint64_t pass, std::uint64_t item)
 {
     return Rng(splitmix64(seed ^ splitmix64(pass * kPassSalt + item)));
 }
+
+/** Salt separating layer ordinals from array keys in keyedLayer(). */
+inline constexpr std::uint64_t kLayerSalt = 0x6a09e667f3bcc909ULL;
+
+/**
+ * Per-layer key of KeyedRng streams: mixes the layer ordinal into the
+ * array key once, so per-element seeding costs one mix.
+ */
+constexpr std::uint64_t
+keyedLayer(std::uint64_t key, std::uint64_t layer)
+{
+    return splitmix64(key ^ splitmix64(layer + kLayerSalt));
+}
+
+/**
+ * Counter-based stream for keyed draws (see the file comment): the
+ * n-th raw draw is splitmix64(seed + n * golden), i.e. a SplitMix64
+ * generator started at the element's seed. Offers the subset of the
+ * Rng interface the analog circuit models draw through.
+ */
+class KeyedRng
+{
+  public:
+    /** Stream of @p element under the per-layer key @p layer_key. */
+    KeyedRng(std::uint64_t layer_key, std::uint64_t element)
+        : state_(splitmix64(layer_key ^ element))
+    {
+    }
+
+    /** Raw 64-bit draw. */
+    std::uint64_t
+    raw()
+    {
+        const std::uint64_t x = state_;
+        state_ += 0x9e3779b97f4a7c15ULL;
+        return splitmix64(x);
+    }
+
+    /** Uniform double in [0, 1), 53-bit resolution. */
+    double
+    uniform()
+    {
+        return static_cast<double>(raw() >> 11) * 0x1.0p-53;
+    }
+
+    /**
+     * Standard normal draw (Box-Muller). Each pair of uniforms
+     * yields two independent normals; the second is kept for the
+     * next call.
+     */
+    double
+    normal()
+    {
+        if (haveSpare_) {
+            haveSpare_ = false;
+            return spare_;
+        }
+        // u1 in (0, 1] keeps the logarithm finite.
+        const double u1 =
+            static_cast<double>((raw() >> 11) + 1) * 0x1.0p-53;
+        const double theta = 6.283185307179586 * uniform();
+        const double r = std::sqrt(-2.0 * std::log(u1));
+        spare_ = r * std::sin(theta);
+        haveSpare_ = true;
+        return r * std::cos(theta);
+    }
+
+    /** Gaussian with the given mean and standard deviation. */
+    double
+    gaussian(double mean = 0.0, double stddev = 1.0)
+    {
+        return mean + stddev * normal();
+    }
+
+    /** Bernoulli trial with success probability p. */
+    bool bernoulli(double p) { return uniform() < p; }
+
+  private:
+    std::uint64_t state_;
+    double spare_ = 0.0;
+    bool haveSpare_ = false;
+};
 
 } // namespace redeye
 

@@ -157,4 +157,24 @@ measureSnrDb(const std::vector<float> &clean,
     return 10.0 * std::log10(signal / noise);
 }
 
+double
+ksPValue(double d, double n)
+{
+    fatal_if(n <= 0.0, "KS test needs samples");
+    const double sn = std::sqrt(n);
+    const double lambda = (sn + 0.12 + 0.11 / sn) * d;
+    if (lambda < 0.2)
+        return 1.0;
+    // Q_KS(lambda) = 2 sum_{k>=1} (-1)^(k-1) exp(-2 k^2 lambda^2).
+    double sum = 0.0;
+    for (int k = 1; k <= 100; ++k) {
+        const double term =
+            std::exp(-2.0 * k * k * lambda * lambda);
+        sum += (k % 2 ? 2.0 : -2.0) * term;
+        if (term < 1e-12)
+            break;
+    }
+    return std::clamp(sum, 0.0, 1.0);
+}
+
 } // namespace redeye

@@ -124,6 +124,14 @@ double percentile(std::vector<double> values, double p);
 double measureSnrDb(const std::vector<float> &clean,
                     const std::vector<float> &noisy);
 
+/**
+ * Asymptotic p-value of a Kolmogorov-Smirnov statistic @p d at
+ * effective sample size @p n (n for one sample against a continuous
+ * CDF; n1 n2 / (n1 + n2) for two samples), with Stephens' small-
+ * sample correction.
+ */
+double ksPValue(double d, double n);
+
 } // namespace redeye
 
 #endif // REDEYE_CORE_STATS_HH

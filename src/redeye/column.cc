@@ -1,10 +1,12 @@
 #include "redeye/column.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 
 #include "core/logging.hh"
+#include "tensor/kernels.hh"
 
 namespace redeye {
 namespace arch {
@@ -23,40 +25,125 @@ bufferParamsFor(double snr_db)
     return p;
 }
 
+/** What the engine cannot run: batched input, grouped kernels. */
+void
+checkConvolution(const Tensor &in, const nn::ConvolutionLayer &layer)
+{
+    fatal_if(in.shape().n != 1,
+             "functional engine runs one frame at a time");
+    fatal_if(layer.convParams().groups != 1,
+             "functional engine does not support grouped convolution");
+}
+
+/** Derive the float operand and per-channel sums from the codes. */
+void
+finishKernel(ConvKernel &k)
+{
+    const std::size_t taps = k.taps();
+    const std::size_t positions = k.kernelH * k.kernelW;
+    const unsigned mask = (1u << k.weightBits) - 1u;
+    // Noise power of magnitude bit b: the tunable capacitor
+    // attenuates bit b, and the kT/C0 it sampled, by 2^(bits-1-b).
+    std::vector<double> bit_power(k.weightBits);
+    for (unsigned b = 0; b < k.weightBits; ++b) {
+        bit_power[b] =
+            std::ldexp(1.0, -2 * static_cast<int>(k.weightBits - 1 - b));
+    }
+    k.matrix.resize(k.codes.size());
+    k.bitNoise.assign(k.outC, 0.0);
+    k.activeBits.assign(k.outC, 0.0);
+    k.codeSq.assign(k.outC * positions, 0.0);
+    k.codeSqTotal.assign(k.outC, 0.0);
+    for (std::size_t oc = 0; oc < k.outC; ++oc) {
+        for (std::size_t t = 0; t < taps; ++t) {
+            const int code = k.codes[oc * taps + t];
+            k.matrix[oc * taps + t] = static_cast<float>(code);
+            // The tunable capacitor samples only the bits it has.
+            const unsigned mag =
+                static_cast<unsigned>(std::abs(code)) & mask;
+            k.activeBits[oc] += std::popcount(mag);
+            for (unsigned m = mag; m; m &= m - 1)
+                k.bitNoise[oc] += bit_power[std::countr_zero(m)];
+            const double sq = static_cast<double>(code) * code;
+            k.codeSq[oc * positions + t % positions] += sq;
+            k.codeSqTotal[oc] += sq;
+        }
+    }
+}
+
 } // namespace
+
+ConvKernel
+ConvKernel::lower(const nn::ConvolutionLayer &layer,
+                  unsigned weight_bits)
+{
+    const Tensor &w = layer.weights();
+    const Shape &ws = w.shape();
+    ConvKernel k;
+    k.outC = ws.n;
+    k.inC = ws.c;
+    k.kernelH = ws.h;
+    k.kernelW = ws.w;
+    k.weightBits = weight_bits;
+    k.weightScale = std::max(1e-12, static_cast<double>(w.absMax()));
+    const int w_max = (1 << (weight_bits - 1)) - 1;
+    k.codes.resize(w.size());
+    for (std::size_t i = 0; i < w.size(); ++i) {
+        k.codes[i] = static_cast<int>(std::lround(
+            w[i] / k.weightScale * static_cast<double>(w_max)));
+    }
+    finishKernel(k);
+    return k;
+}
+
+ConvKernel
+ConvKernel::withStuckBit(int bit, bool high) const
+{
+    ConvKernel k = *this;
+    for (int &code : k.codes) {
+        int mag = std::abs(code);
+        if (high)
+            mag |= 1 << bit;
+        else
+            mag &= ~(1 << bit);
+        code = code < 0 ? -mag : mag;
+    }
+    finishKernel(k);
+    return k;
+}
 
 ColumnArray::Column::Column(const ColumnArrayConfig &config,
                             const analog::ProcessParams &process,
                             Rng &rng)
-    : mac(analog::MacParams{8, config.weightBits, 20e-15,
-                            analog::OpAmpParams{}},
-          process),
-      buffer(bufferParamsFor(config.convSnrDb), process),
-      comparator(analog::ComparatorParams{}, process),
+    : comparator(analog::ComparatorParams{}, process),
       adc(analog::SarAdcParams{}, process, rng)
 {
-    mac.setSnrDb(config.convSnrDb);
     adc.setResolution(config.adcBits);
 }
 
 ColumnArray::ColumnArray(ColumnArrayConfig config,
                          analog::ProcessParams process, Rng rng)
-    : config_(config), process_(process), rng_(rng)
+    : config_(config), process_(process),
+      mac_(analog::MacParams{8, config.weightBits, 20e-15,
+                             analog::OpAmpParams{}},
+           process),
+      buffer_(bufferParamsFor(config.convSnrDb), process)
 {
     fatal_if(config_.columns == 0, "column array cannot be empty");
     fatal_if(config_.adcBits < 1 || config_.adcBits > 10,
              "ADC bits must be in [1, 10]");
+    mac_.setSnrDb(config_.convSnrDb);
     cols_.reserve(config_.columns);
     for (std::size_t i = 0; i < config_.columns; ++i)
-        cols_.emplace_back(config_, process_, rng_);
+        cols_.emplace_back(config_, process_, rng);
+    key_ = rng.raw();
 }
 
 void
 ColumnArray::setConvSnrDb(double snr_db)
 {
     config_.convSnrDb = snr_db;
-    for (auto &col : cols_)
-        col.mac.setSnrDb(snr_db);
+    mac_.setSnrDb(snr_db);
 }
 
 void
@@ -102,12 +189,28 @@ Tensor
 ColumnArray::runConvolution(const Tensor &in,
                             nn::ConvolutionLayer &layer, bool rectify)
 {
+    (void)layer.outputShape({in.shape()}); // materialize the weights
+    return runConvolution(in, layer,
+                          ConvKernel::lower(layer, config_.weightBits),
+                          rectify);
+}
+
+Tensor
+ColumnArray::runConvolution(const Tensor &in,
+                            nn::ConvolutionLayer &layer,
+                            const ConvKernel &kernel, bool rectify)
+{
+    checkConvolution(in, layer);
+    const std::uint64_t layer_key = nextLayerKey();
     const Shape &is = in.shape();
-    fatal_if(is.n != 1, "functional engine runs one frame at a time");
     const Shape os = layer.outputShape({is});
     const auto &p = layer.convParams();
-    fatal_if(p.groups != 1,
-             "functional engine does not support grouped convolution");
+    panic_if(kernel.outC != os.c || kernel.inC != is.c ||
+                 kernel.kernelH != p.kernelH ||
+                 kernel.kernelW != p.kernelW ||
+                 kernel.weightBits != config_.weightBits,
+             "lowered kernel does not match layer '", layer.name(),
+             "'");
 
     // Signal conditioning. The controller programs a per-layer gain
     // (feedback-capacitor sizing) so that the accumulated output
@@ -117,19 +220,7 @@ ColumnArray::runConvolution(const Tensor &in,
     const double swing = process_.signalSwing;
     const double in_scale = std::max(1e-12,
                                      static_cast<double>(in.absMax()));
-    const Tensor &w = layer.weights();
-    const double w_scale = std::max(
-        1e-12, static_cast<double>(w.absMax()));
     const int w_max = (1 << (config_.weightBits - 1)) - 1;
-
-    // Pre-quantize the kernel to integers.
-    std::vector<int> wq(w.size());
-    for (std::size_t i = 0; i < w.size(); ++i) {
-        wq[i] = static_cast<int>(
-            std::lround(w[i] / w_scale * static_cast<double>(w_max)));
-    }
-
-    // Output range estimate (value domain) for the gain setting.
     Tensor digital_ref;
     layer.forward({&in}, digital_ref);
     const double out_amax = std::max(
@@ -137,100 +228,175 @@ ColumnArray::runConvolution(const Tensor &in,
 
     // Input scaling into the MAC such that full-range outputs land
     // at +-swing: out_volts = sum (w_int / 2^(b-1)) * (k * value).
-    const double denom = static_cast<double>(1 << (config_.weightBits -
-                                                   1));
-    const double k_in = denom * w_scale * swing /
-                        (static_cast<double>(w_max) * out_amax);
+    // volts_per_code folds the 2^(b-1) into k.
+    const double volts_per_code =
+        kernel.weightScale * swing /
+        (static_cast<double>(w_max) * out_amax);
     // The controller's gain calibration divides out the known
     // systematic settling/finite-gain attenuation of the MAC.
-    const std::size_t taps = is.c * p.kernelH * p.kernelW;
-    const double sys_gain =
-        cols_.front().mac.systematicGain(taps);
+    const std::size_t taps = kernel.taps();
+    const std::size_t cycles = mac_.cycles(taps);
+    const analog::MacWindowModel m = mac_.windowModel();
+    const double sys_gain = mac_.systematicGain(taps);
     const double out_factor = out_amax / (swing * sys_gain);
 
-    Tensor out(Shape(1, os.c, os.h, os.w));
-    std::vector<double> window;
-    std::vector<int> weights;
-    window.reserve(taps);
-    weights.reserve(taps);
+    // Variance terms of one window (DESIGN.md, "Closed-form analog
+    // windows"). Sampling and buffer noise enter before the settles
+    // and are attenuated by all of them; the k-th of n settles adds
+    // op amp noise attenuated by the n-k that follow; the damping
+    // cap adds its kT/C at the output.
+    const double g2n = sys_gain * sys_gain;
+    const double bit_var = m.bitNoiseRms * m.bitNoiseRms / 4.0;
+    const double code_volts = in_scale / swing * volts_per_code;
+    const double buf_scale = code_volts * code_volts;
+    const double write_var =
+        buffer_.writeNoiseRms() * buffer_.writeNoiseRms();
+    const double read_var = buffer_.params().bufferNoiseRms *
+                            buffer_.params().bufferNoiseRms;
+    double fixed_var = m.dampNoiseRms * m.dampNoiseRms;
+    {
+        const double g2 = m.settleGain * m.settleGain;
+        double att = 1.0;
+        for (std::size_t k = 0; k < cycles; ++k, att *= g2)
+            fixed_var += m.opAmpNoiseRms * m.opAmpNoiseRms * att;
+    }
 
+    // Buffered samples are bridged from the source column's storage;
+    // a leaky cell droops as if the sample had been held extra time,
+    // scaling the signal and its write noise alike.
+    std::vector<double> droop(is.w, 1.0);
+    bool any_droop = false;
+    for (std::size_t x = 0; x < is.w; ++x) {
+        if (const fault::ColumnFaults *sf =
+                activeFaults(physicalFor(x))) {
+            droop[x] = std::exp(-buffer_.params().droopPerSecond *
+                                sf->extraHoldS);
+            any_droop |= droop[x] != 1.0;
+        }
+    }
+    const float *image = in.data();
+    std::vector<float> drooped;
+    if (any_droop) {
+        drooped.assign(in.data(), in.data() + in.size());
+        for (std::size_t i = 0; i < drooped.size(); ++i)
+            drooped[i] = static_cast<float>(drooped[i] *
+                                            droop[i % is.w]);
+        image = drooped.data();
+    }
+
+    // The windows' ideal sums: im2col + one GEMM over the kernel.
+    WindowParams wp;
+    wp.kernelH = p.kernelH;
+    wp.kernelW = p.kernelW;
+    wp.strideH = p.strideH;
+    wp.strideW = p.strideW;
+    wp.padH = p.padH;
+    wp.padW = p.padW;
+    const std::size_t windows = os.h * os.w;
+    std::vector<float> cols(taps * windows);
+    kernels::im2col(image, is.c, is.h, is.w, wp, cols.data());
+    std::vector<float> dots(os.c * windows);
+    kernels::gemm(kernel.matrix.data(), {os.c, taps}, cols.data(),
+                  {taps, windows}, dots.data());
+
+    // Kernels realized by columns with a stuck weight bit.
+    struct Stuck {
+        int bit;
+        bool high;
+        ConvKernel kernel;
+    };
+    std::vector<Stuck> stuck;
+    auto kernelFor = [&](const fault::ColumnFaults *cf)
+        -> const ConvKernel & {
+        if (!cf || cf->weightStuckBit < 0)
+            return kernel;
+        for (const Stuck &s : stuck) {
+            if (s.bit == cf->weightStuckBit &&
+                s.high == cf->weightStuckHigh)
+                return s.kernel;
+        }
+        stuck.push_back({cf->weightStuckBit, cf->weightStuckHigh,
+                         kernel.withStuckBit(cf->weightStuckBit,
+                                             cf->weightStuckHigh)});
+        return stuck.back().kernel;
+    };
+
+    const std::size_t positions = p.kernelH * p.kernelW;
+    std::vector<double> buf_weight(positions);
+    double mac_bits = 0.0;
+    std::size_t mem_taps = 0;
+    Tensor out(Shape(1, os.c, os.h, os.w));
     for (std::size_t oy = 0; oy < os.h; ++oy) {
         for (std::size_t ox = 0; ox < os.w; ++ox) {
-            const std::size_t pcol = physicalFor(ox);
-            Column &col = cols_[pcol];
-            const fault::ColumnFaults *cf = activeFaults(pcol);
+            const std::size_t win = oy * os.w + ox;
+            const fault::ColumnFaults *cf =
+                activeFaults(physicalFor(ox));
+            const ConvKernel &k = kernelFor(cf);
+
+            // Buffer noise weight of each kernel position: zero off
+            // the image, droop-scaled write noise plus read noise on
+            // it. `plain` windows take the precomputed channel sum.
+            std::size_t in_bounds = 0;
+            bool plain = true;
+            for (std::size_t ky = 0; ky < p.kernelH; ++ky) {
+                const long iy = static_cast<long>(oy * p.strideH + ky) -
+                                static_cast<long>(p.padH);
+                for (std::size_t kx = 0; kx < p.kernelW; ++kx) {
+                    const long ix =
+                        static_cast<long>(ox * p.strideW + kx) -
+                        static_cast<long>(p.padW);
+                    double &bw = buf_weight[ky * p.kernelW + kx];
+                    if (iy < 0 || iy >= static_cast<long>(is.h) ||
+                        ix < 0 || ix >= static_cast<long>(is.w)) {
+                        bw = 0.0;
+                        plain = false;
+                        continue;
+                    }
+                    const double d = droop[static_cast<std::size_t>(ix)];
+                    bw = d * d * write_var + read_var;
+                    plain &= d == 1.0;
+                    ++in_bounds;
+                }
+            }
+            mem_taps += in_bounds * is.c;
+
             for (std::size_t oc = 0; oc < os.c; ++oc) {
-                window.clear();
-                weights.clear();
-                for (std::size_t ic = 0; ic < is.c; ++ic) {
-                    for (std::size_t ky = 0; ky < p.kernelH; ++ky) {
-                        const long iy = static_cast<long>(
-                                            oy * p.strideH + ky) -
-                                        static_cast<long>(p.padH);
-                        for (std::size_t kx = 0; kx < p.kernelW;
-                             ++kx) {
-                            const long ix = static_cast<long>(
-                                                ox * p.strideW + kx) -
-                                            static_cast<long>(p.padW);
-                            double v = 0.0;
-                            if (iy >= 0 &&
-                                iy < static_cast<long>(is.h) &&
-                                ix >= 0 &&
-                                ix < static_cast<long>(is.w)) {
-                                // Buffered sample, bridged from the
-                                // neighboring column's storage; the
-                                // buffer holds full-swing samples.
-                                // A leaky cell droops as if the
-                                // sample had been held extra time.
-                                const std::size_t psrc = physicalFor(
-                                    static_cast<std::size_t>(ix));
-                                Column &src = cols_[psrc];
-                                const fault::ColumnFaults *sf =
-                                    activeFaults(psrc);
-                                const double value = in.at(
-                                    0, ic,
-                                    static_cast<std::size_t>(iy),
-                                    static_cast<std::size_t>(ix));
-                                src.buffer.write(
-                                    value / in_scale * swing, rng_);
-                                v = src.buffer.read(
-                                        rng_,
-                                        sf ? sf->extraHoldS : 0.0) *
-                                    in_scale / swing;
-                            }
-                            window.push_back(v * k_in);
-                            weights.push_back(
-                                wq[w.shape().index(oc, ic, ky, kx)]);
-                        }
+                double dot;
+                if (&k == &kernel) {
+                    dot = dots[oc * windows + win];
+                } else {
+                    dot = 0.0;
+                    for (std::size_t t = 0; t < taps; ++t) {
+                        dot += static_cast<double>(
+                                   k.matrix[oc * taps + t]) *
+                               cols[t * windows + win];
                     }
                 }
-                if (cf && cf->weightStuckBit >= 0) {
-                    // Stuck capacitor bit in this column's weight
-                    // bank: the magnitude bit is forced for every
-                    // weight the bank realizes.
-                    const int bit = cf->weightStuckBit;
-                    for (int &wv : weights) {
-                        int mag = std::abs(wv);
-                        if (cf->weightStuckHigh)
-                            mag |= 1 << bit;
-                        else
-                            mag &= ~(1 << bit);
-                        wv = wv < 0 ? -mag : mag;
-                    }
+                double buf_sum;
+                if (plain) {
+                    buf_sum = k.codeSqTotal[oc] * (write_var + read_var);
+                } else {
+                    buf_sum = 0.0;
+                    for (std::size_t q = 0; q < positions; ++q)
+                        buf_sum += k.codeSq[oc * positions + q] *
+                                   buf_weight[q];
                 }
-                double volts = col.mac.multiplyAccumulate(window,
-                                                          weights,
-                                                          rng_);
+                mac_bits += k.activeBits[oc];
+                const double var =
+                    g2n * (bit_var * k.bitNoise[oc] +
+                           buf_scale * buf_sum) +
+                    fixed_var;
+                KeyedRng rng(layer_key, (oc * os.h + oy) * os.w + ox);
+                double volts = sys_gain * volts_per_code * dot +
+                               std::sqrt(var) * rng.normal();
                 if (p.bias)
                     volts += layer.biases()[oc] / out_factor;
                 if (cf) {
                     volts += cf->offsetV;
                     if (cf->dead) {
                         // Railed op amp: the column always reports
-                        // full positive swing. The MAC above still
-                        // ran (it burns energy and consumes its
-                        // noise draws), keeping healthy columns
-                        // bit-identical to a fault-free run.
+                        // full positive swing. Its MAC still ran and
+                        // burned energy.
                         volts = swing;
                     }
                 }
@@ -243,6 +409,11 @@ ColumnArray::runConvolution(const Tensor &in,
             }
         }
     }
+    macJ_ += mac_bits * m.bitEnergyJ +
+             static_cast<double>(windows * os.c * cycles) *
+                 m.cycleEnergyJ;
+    memoryJ_ += static_cast<double>(mem_taps * os.c) *
+                (buffer_.writeEnergy() + buffer_.readEnergy());
     return out;
 }
 
@@ -251,6 +422,7 @@ ColumnArray::runMaxPool(const Tensor &in, const nn::MaxPoolLayer &layer)
 {
     const Shape &is = in.shape();
     fatal_if(is.n != 1, "functional engine runs one frame at a time");
+    const std::uint64_t layer_key = nextLayerKey();
     const Shape os = layer.outputShape({is});
     const auto &p = layer.poolParams();
 
@@ -265,6 +437,7 @@ ColumnArray::runMaxPool(const Tensor &in, const nn::MaxPoolLayer &layer)
                 const std::size_t pcol = physicalFor(ox);
                 Column &col = cols_[pcol];
                 const fault::ColumnFaults *cf = activeFaults(pcol);
+                KeyedRng rng(layer_key, (oc * os.h + oy) * os.w + ox);
                 bool have = false;
                 double best = 0.0;
                 for (std::size_t ky = 0; ky < p.kernel; ++ky) {
@@ -296,7 +469,7 @@ ColumnArray::runMaxPool(const Tensor &in, const nn::MaxPoolLayer &layer)
                             cf ? v + cf->comparatorOffsetV : v;
                         const auto d = col.comparator.compare(seen,
                                                               best,
-                                                              rng_);
+                                                              rng);
                         best = d.aGreater ? v : best;
                     }
                 }
@@ -315,6 +488,7 @@ ColumnArray::runQuantization(const Tensor &in)
 {
     const Shape &is = in.shape();
     fatal_if(is.n != 1, "functional engine runs one frame at a time");
+    const std::uint64_t layer_key = nextLayerKey();
 
     // Rectified features are non-negative; map [0, max] onto the ADC
     // range [0, vref].
@@ -332,7 +506,8 @@ ColumnArray::runQuantization(const Tensor &in)
                 double volts = v / in_max * col.adc.vref();
                 if (cf && cf->dead)
                     volts = col.adc.vref(); // railed input
-                auto code = col.adc.convert(volts, rng_);
+                KeyedRng rng(layer_key, (c * is.h + y) * is.w + x);
+                auto code = col.adc.convert(volts, rng);
                 if (cf && cf->adcStuckBit >= 0 &&
                     cf->adcStuckBit <
                         static_cast<int>(col.adc.resolution())) {
@@ -358,9 +533,9 @@ EnergyBreakdown
 ColumnArray::energy() const
 {
     EnergyBreakdown e;
+    e.macJ = macJ_;
+    e.memoryJ = memoryJ_;
     for (const auto &col : cols_) {
-        e.macJ += col.mac.energyJ();
-        e.memoryJ += col.buffer.energyJ();
         e.comparatorJ += col.comparator.energyJ();
         e.readoutJ += col.adc.energyJ();
     }
@@ -370,9 +545,9 @@ ColumnArray::energy() const
 void
 ColumnArray::resetEnergy()
 {
+    macJ_ = 0.0;
+    memoryJ_ = 0.0;
     for (auto &col : cols_) {
-        col.mac.resetEnergy();
-        col.buffer.resetEnergy();
         col.comparator.resetEnergy();
         col.adc.resetEnergy();
     }

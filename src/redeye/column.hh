@@ -3,12 +3,23 @@
  * Column-parallel functional execution engine.
  *
  * The structural counterpart of the analytic energy model: a
- * ColumnArray instantiates per-column module circuits (buffer cells,
- * MAC, comparator, SAR ADC from src/analog) and routes real signal
- * values through them, one output row per timestep, with every
- * circuit-level noise and energy mechanism engaged. Output x
- * positions map onto columns; horizontally adjacent columns bridge
- * their buffered samples for kernel windows (Section III-B3).
+ * ColumnArray routes real signal values through the circuit models of
+ * src/analog (tunable-capacitor MAC, buffer cells, comparators, SAR
+ * ADCs) with every circuit-level noise and energy mechanism engaged.
+ * Output x positions map onto columns; horizontally adjacent columns
+ * bridge their buffered samples for kernel windows (Section III-B3).
+ *
+ * A convolution window is computed in closed form: the ideal sum
+ * over the quantized kernel (im2col + GEMM) plus one Gaussian draw
+ * whose variance is the exact sum of the window's independent noise
+ * terms (tunable-cap kT/C0 per set weight bit, buffer write/read
+ * noise per in-bounds tap, op amp noise per settle, damping kT/C).
+ * Energy accrues from the same event counts the per-tap circuits
+ * would see. Every draw comes from a KeyedRng keyed on (array key,
+ * layer ordinal, output element), where the layer ordinal counts the
+ * array's run*() calls: the realized noise depends neither on the
+ * column map nor on the order elements are visited. DESIGN.md
+ * ("Closed-form analog windows") derives the variance.
  *
  * Used for bit-level validation (does the analog pipeline compute
  * the ConvNet?) and for measuring realized SNR against the
@@ -43,6 +54,47 @@ struct ColumnArrayConfig {
     unsigned adcBits = 4;
 };
 
+/**
+ * A convolution kernel lowered for the array: the weights quantized
+ * to the array's weight resolution, plus the per-output-channel sums
+ * the closed-form window model needs. A pure function of the layer's
+ * weights and the weight resolution, so it is built once per layer
+ * (AnalogPlan) and reused every frame.
+ */
+struct ConvKernel {
+    std::size_t outC = 0;
+    std::size_t inC = 0;
+    std::size_t kernelH = 0;
+    std::size_t kernelW = 0;
+    unsigned weightBits = 0;
+    double weightScale = 0.0;  ///< |w|max of the float kernel
+    std::vector<int> codes;    ///< (outC, inC*kH*kW) signed codes
+    std::vector<float> matrix; ///< codes as floats, GEMM operand A
+    /**
+     * Per channel: sum over taps and set magnitude bits j (0 = LSB)
+     * of 4^-(bits-1-j), the kT/C0 noise power each bit samples.
+     */
+    std::vector<double> bitNoise;
+    /** Per channel: set weight bits over all taps. */
+    std::vector<double> activeBits;
+    /** (outC, kH*kW): sum over input channels of code^2. */
+    std::vector<double> codeSq;
+    /** Per channel: codeSq summed over kernel positions. */
+    std::vector<double> codeSqTotal;
+
+    std::size_t taps() const { return inC * kernelH * kernelW; }
+
+    /** Lower @p layer's kernel at @p weight_bits resolution. */
+    static ConvKernel lower(const nn::ConvolutionLayer &layer,
+                            unsigned weight_bits);
+
+    /**
+     * The kernel a column with a stuck weight-capacitor bit realizes:
+     * magnitude bit @p bit forced to @p high in every code.
+     */
+    ConvKernel withStuckBit(int bit, bool high) const;
+};
+
 /** Column-parallel mixed-signal execution engine. */
 class ColumnArray
 {
@@ -61,6 +113,15 @@ class ColumnArray
      */
     Tensor runConvolution(const Tensor &in,
                           nn::ConvolutionLayer &layer, bool rectify);
+
+    /**
+     * As above, with the kernel already lowered (ConvKernel::lower of
+     * @p layer at this array's weight resolution). Bit-identical to
+     * the lowering overload.
+     */
+    Tensor runConvolution(const Tensor &in,
+                          nn::ConvolutionLayer &layer,
+                          const ConvKernel &kernel, bool rectify);
 
     /** Execute max pooling through the comparator circuits. */
     Tensor runMaxPool(const Tensor &in, const nn::MaxPoolLayer &layer);
@@ -114,13 +175,11 @@ class ColumnArray
     const ColumnArrayConfig &config() const { return config_; }
 
   private:
-    /** Per-column circuit instances. */
+    /** Per-column comparator and (mismatched) SAR ADC. */
     struct Column {
         Column(const ColumnArrayConfig &config,
                const analog::ProcessParams &process, Rng &rng);
 
-        analog::MacUnit mac;
-        analog::AnalogMemoryCell buffer;
         analog::DynamicComparator comparator;
         analog::SarAdc adc;
     };
@@ -132,18 +191,25 @@ class ColumnArray
         return map_.empty() ? x % cols_.size() : map_[x % map_.size()];
     }
 
-    Column &columnFor(std::size_t x) { return cols_[physicalFor(x)]; }
-
     /**
      * Faults of physical column @p physical active at the armed
      * frame, or nullptr when pristine (or not yet onset).
      */
     const fault::ColumnFaults *activeFaults(std::size_t physical) const;
 
+    /** Per-layer key of the next run*() call's draws. */
+    std::uint64_t nextLayerKey() { return keyedLayer(key_, layer_++); }
+
     ColumnArrayConfig config_;
     analog::ProcessParams process_;
     Rng rng_;
     std::vector<Column> cols_;
+    analog::MacUnit mac_;              ///< conv-module parameters
+    analog::AnalogMemoryCell buffer_;  ///< buffer-cell parameters
+    std::uint64_t key_ = 0;   ///< array key of every keyed draw
+    std::uint64_t layer_ = 0; ///< run*() calls so far
+    double macJ_ = 0.0;
+    double memoryJ_ = 0.0;
     std::vector<std::size_t> map_; ///< logical->physical (empty = id)
     const fault::FaultModel *faults_ = nullptr;
     std::uint64_t faultFrame_ = 0;

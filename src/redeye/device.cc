@@ -1,12 +1,11 @@
 #include "redeye/device.hh"
 
+#include <algorithm>
 #include <cmath>
-#include <mutex>
+#include <map>
 #include <set>
-#include <sstream>
 
 #include "core/logging.hh"
-#include "core/structural_hash.hh"
 #include "nn/concat.hh"
 #include "nn/lrn.hh"
 #include "nn/network.hh"
@@ -34,15 +33,12 @@ analogExecutable(nn::LayerKind kind)
     }
 }
 
-/**
- * Structural validation of the requested partition against @p net:
- * every named layer exists and is analog-executable, every consumed
- * activation is produced inside the partition (or is the sensor
- * input), and at least one layer executes.
- */
-Status
-validatePartition(nn::Network &net,
-                  const std::vector<std::string> &analog_layers)
+} // namespace
+
+StatusOr<AnalogPlan>
+AnalogPlan::build(nn::Network &net,
+                  const std::vector<std::string> &analog_layers,
+                  unsigned weight_bits)
 {
     std::set<std::string> wanted(analog_layers.begin(),
                                  analog_layers.end());
@@ -53,8 +49,10 @@ validatePartition(nn::Network &net,
         }
     }
 
-    std::set<std::string> produced{std::string(nn::kInputName)};
-    std::size_t executed = 0;
+    AnalogPlan plan;
+    plan.weightBits_ = weight_bits;
+    std::map<std::string, std::size_t> produced{
+        {std::string(nn::kInputName), kFrameInput}};
     for (std::size_t i = 0; i < net.size(); ++i) {
         nn::Layer &layer = net.layerAt(i);
         if (!wanted.count(layer.name()))
@@ -65,47 +63,38 @@ validatePartition(nn::Network &net,
                 layer.name() + "' of kind " +
                 nn::layerKindName(layer.kind()));
         }
+        Step step;
+        step.layer = &layer;
         for (const auto &name : net.inputsOf(i)) {
-            if (!produced.count(name)) {
+            auto it = produced.find(name);
+            if (it == produced.end()) {
                 return Status::invalidArgument(
                     "analog layer consumes '" + name +
                     "', which is not in the partition");
             }
+            step.inputs.push_back(it->second);
         }
-        produced.insert(layer.name());
-        ++executed;
+        if (layer.kind() == nn::LayerKind::Convolution) {
+            // Fold an immediately following in-partition ReLU.
+            if (i + 1 < net.size()) {
+                nn::Layer &next = net.layerAt(i + 1);
+                step.rectify = next.kind() == nn::LayerKind::ReLU &&
+                               wanted.count(next.name()) > 0;
+            }
+            auto &conv = static_cast<nn::ConvolutionLayer &>(layer);
+            step.kernel = plan.kernels_.size();
+            plan.kernels_.push_back(
+                ConvKernel::lower(conv, weight_bits));
+        }
+        produced[layer.name()] = plan.steps_.size();
+        plan.steps_.push_back(std::move(step));
     }
-    if (executed == 0) {
+    if (plan.steps_.empty()) {
         return Status::invalidArgument(
             "partition executed no layers");
     }
-    return Status();
+    return plan;
 }
-
-/**
- * Process-wide memo of structurally valid (topology, partition)
- * pairs, keyed by content address. Devices are constructed per frame
- * on the serving path, so an instance-local memo would never hit;
- * validity is a pure function of structure, so the memo is safe to
- * share. Only successes are recorded — failures stay on the slow
- * path and re-derive their diagnostic.
- */
-std::mutex g_validatedMutex;
-std::set<std::uint64_t> g_validated;
-
-std::uint64_t
-partitionKey(const nn::Network &net,
-             const std::vector<std::string> &analog_layers)
-{
-    StructuralHasher h(/*salt=*/0x50617274u); // 'Part'
-    h.mix(net.structuralHash());
-    h.mix(analog_layers.size());
-    for (const auto &name : analog_layers)
-        h.mixString(name);
-    return h.digest();
-}
-
-} // namespace
 
 RedEyeDevice::RedEyeDevice(ColumnArrayConfig config,
                            analog::ProcessParams process, Rng rng)
@@ -123,140 +112,10 @@ RedEyeDevice::tryRun(nn::Network &net,
             "device executes one frame at a time, got batch of " +
             std::to_string(input.shape().n));
     }
-    const std::uint64_t vkey = partitionKey(net, analog_layers);
-    bool known_valid;
-    {
-        std::lock_guard<std::mutex> lock(g_validatedMutex);
-        known_valid = g_validated.count(vkey) > 0;
-    }
-    if (!known_valid) {
-        RETURN_IF_ERROR(validatePartition(net, analog_layers));
-        std::lock_guard<std::mutex> lock(g_validatedMutex);
-        g_validated.insert(vkey);
-    }
-
-    std::set<std::string> wanted(analog_layers.begin(),
-                                 analog_layers.end());
-
-    array_.resetEnergy();
-    DeviceRun result;
-    std::map<std::string, Tensor> acts;
-    Tensor last = input;
-    std::string last_name = nn::kInputName;
-
-    // Validation guarantees every fetched activation exists.
-    auto fetch = [&](const std::string &name) -> const Tensor & {
-        if (name == nn::kInputName)
-            return input;
-        auto it = acts.find(name);
-        panic_if(it == acts.end(), "validated partition missing '",
-                 name, "'");
-        return it->second;
-    };
-
-    for (std::size_t i = 0; i < net.size(); ++i) {
-        nn::Layer &layer = net.layerAt(i);
-        if (!wanted.count(layer.name()))
-            continue;
-        const auto inputs = net.inputsOf(i);
-        Tensor out;
-
-        switch (layer.kind()) {
-          case nn::LayerKind::Convolution: {
-            auto &conv = static_cast<nn::ConvolutionLayer &>(layer);
-            // Fold an immediately following in-partition ReLU.
-            bool rectify = false;
-            if (i + 1 < net.size()) {
-                nn::Layer &next = net.layerAt(i + 1);
-                if (next.kind() == nn::LayerKind::ReLU &&
-                    wanted.count(next.name())) {
-                    rectify = true;
-                }
-            }
-            out = array_.runConvolution(fetch(inputs[0]), conv,
-                                        rectify);
-            break;
-          }
-          case nn::LayerKind::ReLU: {
-            // Either folded into the preceding conv (then this is a
-            // copy) or applied as clipping on a buffered tensor.
-            const Tensor &x = fetch(inputs[0]);
-            out = x;
-            for (std::size_t k = 0; k < out.size(); ++k)
-                out[k] = std::max(0.0f, out[k]);
-            break;
-          }
-          case nn::LayerKind::MaxPool: {
-            auto &pool = static_cast<nn::MaxPoolLayer &>(layer);
-            out = array_.runMaxPool(fetch(inputs[0]), pool);
-            break;
-          }
-          case nn::LayerKind::AvgPool: {
-            // Lowered to a uniform-weight convolution on hardware;
-            // functionally: exact mean + conv-module noise.
-            std::vector<const Tensor *> ins{&fetch(inputs[0])};
-            layer.forward(ins, out);
-            const double rms = std::sqrt(
-                out.vec().empty()
-                    ? 0.0
-                    : [&] {
-                          double s = 0.0;
-                          for (float v : out.vec())
-                              s += static_cast<double>(v) * v;
-                          return s / static_cast<double>(out.size());
-                      }());
-            const double sigma = noise::noiseSigmaForSnr(
-                rms, array_.config().convSnrDb);
-            for (std::size_t k = 0; k < out.size(); ++k) {
-                out[k] += static_cast<float>(
-                    rng_.gaussian(0.0, sigma));
-            }
-            break;
-          }
-          case nn::LayerKind::LRN: {
-            // Realized as conv-module weight renormalization: exact
-            // math plus module noise at the programmed SNR.
-            std::vector<const Tensor *> ins{&fetch(inputs[0])};
-            layer.forward(ins, out);
-            double s = 0.0;
-            for (float v : out.vec())
-                s += static_cast<double>(v) * v;
-            const double rms = out.size()
-                                   ? std::sqrt(s /
-                                               static_cast<double>(
-                                                   out.size()))
-                                   : 0.0;
-            const double sigma = noise::noiseSigmaForSnr(
-                rms, array_.config().convSnrDb);
-            for (std::size_t k = 0; k < out.size(); ++k) {
-                out[k] += static_cast<float>(
-                    rng_.gaussian(0.0, sigma));
-            }
-            break;
-          }
-          case nn::LayerKind::Concat: {
-            auto &concat = static_cast<nn::ConcatLayer &>(layer);
-            std::vector<const Tensor *> ins;
-            for (const auto &name : inputs)
-                ins.push_back(&fetch(name));
-            concat.forward(ins, out);
-            break;
-          }
-          default:
-            panic("validated partition reached unsupported layer '",
-                  layer.name(), "'");
-        }
-
-        result.executedLayers.push_back(layer.name());
-        acts[layer.name()] = out;
-        last = std::move(out);
-        last_name = layer.name();
-    }
-
-    result.features = array_.runQuantization(last);
-    result.energy = array_.energy();
-    result.forcedDecisions = array_.forcedDecisions();
-    return result;
+    StatusOr<AnalogPlan> plan = AnalogPlan::build(
+        net, analog_layers, array_.config().weightBits);
+    RETURN_IF_ERROR(plan.status());
+    return run(*plan, input);
 }
 
 DeviceRun
@@ -267,6 +126,92 @@ RedEyeDevice::run(nn::Network &net,
     StatusOr<DeviceRun> result = tryRun(net, analog_layers, input);
     fatal_if(!result.ok(), result.status().message());
     return std::move(result.value());
+}
+
+DeviceRun
+RedEyeDevice::run(const AnalogPlan &plan, const Tensor &input)
+{
+    fatal_if(input.shape().n != 1,
+             "device executes one frame at a time, got batch of ",
+             input.shape().n);
+    fatal_if(plan.weightBits() != array_.config().weightBits,
+             "plan lowered at ", plan.weightBits(),
+             "-bit weights, array has ", array_.config().weightBits);
+
+    array_.resetEnergy();
+    const auto &steps = plan.steps();
+    std::vector<Tensor> acts(steps.size());
+    auto fetch = [&](std::size_t from) -> const Tensor & {
+        return from == AnalogPlan::kFrameInput ? input : acts[from];
+    };
+
+    for (std::size_t k = 0; k < steps.size(); ++k) {
+        const AnalogPlan::Step &step = steps[k];
+        nn::Layer &layer = *step.layer;
+        Tensor &out = acts[k];
+
+        switch (layer.kind()) {
+          case nn::LayerKind::Convolution:
+            out = array_.runConvolution(
+                fetch(step.inputs[0]),
+                static_cast<nn::ConvolutionLayer &>(layer),
+                plan.kernels()[step.kernel], step.rectify);
+            break;
+          case nn::LayerKind::ReLU: {
+            // Either folded into the preceding conv (then this is a
+            // copy) or applied as clipping on a buffered tensor.
+            out = fetch(step.inputs[0]);
+            for (std::size_t i = 0; i < out.size(); ++i)
+                out[i] = std::max(0.0f, out[i]);
+            break;
+          }
+          case nn::LayerKind::MaxPool:
+            out = array_.runMaxPool(
+                fetch(step.inputs[0]),
+                static_cast<nn::MaxPoolLayer &>(layer));
+            break;
+          case nn::LayerKind::AvgPool:
+            // Lowered to a uniform-weight convolution on hardware;
+            // functionally: exact mean + conv-module noise.
+          case nn::LayerKind::LRN: {
+            // Realized as conv-module weight renormalization: exact
+            // math plus module noise at the programmed SNR.
+            layer.forward({&fetch(step.inputs[0])}, out);
+            double s = 0.0;
+            for (float v : out.vec())
+                s += static_cast<double>(v) * v;
+            const double rms =
+                out.size() ? std::sqrt(s / static_cast<double>(
+                                               out.size()))
+                           : 0.0;
+            const double sigma = noise::noiseSigmaForSnr(
+                rms, array_.config().convSnrDb);
+            for (std::size_t i = 0; i < out.size(); ++i) {
+                out[i] += static_cast<float>(
+                    rng_.gaussian(0.0, sigma));
+            }
+            break;
+          }
+          case nn::LayerKind::Concat: {
+            std::vector<const Tensor *> ins;
+            for (std::size_t from : step.inputs)
+                ins.push_back(&fetch(from));
+            layer.forward(ins, out);
+            break;
+          }
+          default:
+            panic("analog plan reached unsupported layer '",
+                  layer.name(), "'");
+        }
+    }
+
+    DeviceRun result;
+    result.features = array_.runQuantization(acts.back());
+    result.energy = array_.energy();
+    result.forcedDecisions = array_.forcedDecisions();
+    for (const AnalogPlan::Step &step : steps)
+        result.executedLayers.push_back(step.layer->name());
+    return result;
 }
 
 } // namespace arch

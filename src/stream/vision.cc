@@ -1,7 +1,6 @@
 #include "stream/vision.hh"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 
 #include "core/exec.hh"
@@ -64,12 +63,15 @@ struct SensorWorker {
     }
 };
 
-/** Device stage: network replica + per-frame functional device. */
+/**
+ * Device stage: network replica, the analog plan resolved against it
+ * once, and a per-frame functional device.
+ */
 struct DeviceWorker {
     VisionConfig cfg;
     std::unique_ptr<nn::Network> net;
-    std::vector<std::string> layers;
     arch::ColumnArrayConfig array;
+    arch::AnalogPlan plan;
 
     explicit DeviceWorker(const VisionConfig &config) : cfg(config)
     {
@@ -77,11 +79,15 @@ struct DeviceWorker {
         net = models::buildMiniGoogLeNet(cfg.classes, weights);
         if (cfg.weights)
             nn::copyWeightsByName(*net, *cfg.weights);
-        layers = models::miniGoogLeNetAnalogLayers(cfg.depth);
         array.columns = models::kMiniInputSize;
         array.convSnrDb = cfg.convSnrDb;
         array.weightBits = cfg.weightBits;
         array.adcBits = cfg.adcBits;
+        StatusOr<arch::AnalogPlan> built = arch::AnalogPlan::build(
+            *net, models::miniGoogLeNetAnalogLayers(cfg.depth),
+            array.weightBits);
+        fatal_if(!built.ok(), built.status().message());
+        plan = std::move(*built);
         // Fallback for direct construction outside makeVisionStages
         // (which installs a pipeline-shared instance).
         if (cfg.degrade.enabled && !cfg.planCache)
@@ -116,10 +122,10 @@ struct DeviceWorker {
         // Consult the degradation plan before touching the device: a
         // bypassed frame must not pay for (or allocate) an analog
         // array it will never use.
-        const DegradePlan *plan = nullptr;
+        const DegradePlan *degrade = nullptr;
         if (cfg.faults && cfg.degrade.enabled) {
-            plan = &planFor(frame.index);
-            if (plan->mode == DegradeMode::Bypass) {
+            degrade = &planFor(frame.index);
+            if (degrade->mode == DegradeMode::Bypass) {
                 // Hardware past saving: hand the raw frame to the
                 // host's full digital network.
                 frame.analogBypassed = true;
@@ -136,13 +142,13 @@ struct DeviceWorker {
             Rng(streamRng(cfg.deviceSeed, 0, frame.index).raw()));
         if (cfg.faults) {
             device.armFaults(cfg.faults.get(), frame.index);
-            if (plan && plan->mode == DegradeMode::Remap) {
-                device.array().setColumnMap(plan->columnMap);
-                if (plan->adcBits)
-                    device.array().setAdcBits(plan->adcBits);
+            if (degrade && degrade->mode == DegradeMode::Remap) {
+                device.array().setColumnMap(degrade->columnMap);
+                if (degrade->adcBits)
+                    device.array().setAdcBits(degrade->adcBits);
             }
         }
-        auto run = device.run(*net, layers, frame.image);
+        auto run = device.run(plan, frame.image);
         frame.features = std::move(run.features);
         frame.analogEnergyJ = run.energy.totalJ();
     }

@@ -207,5 +207,15 @@ TEST(MeasureSnrTest, SizeMismatchPanics)
     EXPECT_DEATH(measureSnrDb(a, b), "differ in size");
 }
 
+TEST(KsPValueTest, Limits)
+{
+    EXPECT_DOUBLE_EQ(ksPValue(0.0, 1000.0), 1.0);
+    // The 5% critical value of the one-sample statistic is about
+    // 1.358 / sqrt(n).
+    EXPECT_NEAR(ksPValue(1.358 / std::sqrt(10000.0), 10000.0), 0.05,
+                0.005);
+    EXPECT_LT(ksPValue(0.05, 10000.0), 1e-9);
+}
+
 } // namespace
 } // namespace redeye

@@ -86,8 +86,9 @@ TEST(FaultModelTest, OnsetZeroByDefault)
     FaultModel model(FaultCampaign::deadColumns(0.5, 3), 64);
     for (std::size_t i = 0; i < 64; ++i) {
         EXPECT_EQ(model.column(i).onset, 0u);
-        if (model.column(i).dead)
+        if (model.column(i).dead) {
             EXPECT_TRUE(model.column(i).activeAt(0));
+        }
     }
 }
 

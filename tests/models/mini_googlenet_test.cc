@@ -32,8 +32,9 @@ TEST(MiniGoogLeNetTest, WeightsInitialized)
     // He init: every weight tensor (n = outputs > 1) is nonzero;
     // bias vectors (n == 1) start at zero.
     for (Tensor *p : net->params()) {
-        if (p->shape().n > 1)
+        if (p->shape().n > 1) {
             EXPECT_GT(p->absMax(), 0.0f);
+        }
     }
 }
 

@@ -36,10 +36,12 @@ TEST(SchedulerTest, ConvolutionsOpenRounds)
     EXPECT_EQ(sched.cycles, 3u);
     // pool1 shares conv1's round.
     for (const auto &s : sched.stages) {
-        if (s.layer == "pool1/3x3_s2")
+        if (s.layer == "pool1/3x3_s2") {
             EXPECT_EQ(s.cycle, 0u);
-        if (s.layer == "conv2/3x3_reduce")
+        }
+        if (s.layer == "conv2/3x3_reduce") {
             EXPECT_EQ(s.cycle, 1u);
+        }
     }
 }
 

@@ -54,8 +54,9 @@ TEST(DegradeTest, FewSuspectsRemapOntoHealthyColumns)
         EXPECT_NE(plan.columnMap[c], 3u);
         EXPECT_NE(plan.columnMap[c], 11u);
         // ... and healthy positions keep their own column.
-        if (c != 3 && c != 11)
+        if (c != 3 && c != 11) {
             EXPECT_EQ(plan.columnMap[c], c);
+        }
     }
 }
 
@@ -115,8 +116,9 @@ TEST(DegradeTest, JustBelowFractionStillRemaps)
                   0)
             << "position " << c << " reads a suspect column";
         // ... and healthy positions keep their own column.
-        if (!suspect)
+        if (!suspect) {
             EXPECT_EQ(plan.columnMap[c], c);
+        }
     }
 }
 

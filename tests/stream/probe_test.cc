@@ -1,5 +1,7 @@
 /** @file Tests for the calibration probe. */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "fault/fault_model.hh"
@@ -118,6 +120,105 @@ TEST(ProbeTest, OnsetGatesDetection)
     const ProbeReport after =
         runCalibrationProbe(makeConfig(), &model, last_onset);
     EXPECT_EQ(after.suspectColumns.size(), kColumns) << after.str();
+}
+
+/** Fault kinds of the pinned probe campaigns. */
+enum class Kind { Dead, Stuck, Offset, Droop };
+
+/** One kind of fault at a high rate, realized from @p seed. */
+fault::FaultCampaign
+campaign(Kind kind, std::uint64_t seed)
+{
+    fault::FaultCampaign c;
+    c.seed = seed;
+    switch (kind) {
+      case Kind::Dead:
+        c.deadColumnRate = 0.15;
+        break;
+      case Kind::Stuck:
+        c.stuckWeightBitRate = 0.3;
+        break;
+      case Kind::Offset:
+        c.offsetColumnRate = 0.3;
+        break;
+      case Kind::Droop:
+        c.memoryLeakRate = 0.3;
+        break;
+    }
+    return c;
+}
+
+/**
+ * Suspect sets of dead, stuck-bit, offset and droop campaigns, pinned
+ * to what the probe returned when the array simulated every tap from
+ * one sequential stream. Fleet quarantine and degradation plans are
+ * built from these sets, so the closed-form engine must reproduce
+ * them.
+ */
+TEST(ProbeTest, SuspectSetsMatchPerTapEngine)
+{
+    struct Pin {
+        Kind kind;
+        std::uint64_t seed;
+        std::vector<std::size_t> suspects;
+    };
+    const std::vector<Pin> pins = {
+        {Kind::Dead, 1, {3, 7, 11, 13}},
+        {Kind::Dead, 2, {0, 2, 4, 5, 8, 9, 15}},
+        {Kind::Dead, 3, {}},
+        {Kind::Dead, 4, {7, 14}},
+        {Kind::Dead, 5, {4}},
+        {Kind::Dead, 6, {0, 3, 4, 7}},
+        {Kind::Stuck, 1, {1, 4, 11, 12}},
+        {Kind::Stuck, 2, {13}},
+        {Kind::Stuck, 3, {0, 9}},
+        {Kind::Stuck, 4, {3, 8, 10, 13, 15}},
+        {Kind::Stuck, 5, {3, 12}},
+        {Kind::Stuck, 6, {14}},
+        {Kind::Offset, 1, {0, 2, 4, 15}},
+        {Kind::Offset, 2, {2, 9, 11, 15}},
+        {Kind::Offset, 3, {4, 10, 12, 15}},
+        {Kind::Offset, 4, {1, 10, 12, 13, 15}},
+        {Kind::Offset, 5, {7, 12}},
+        {Kind::Offset, 6, {1, 6, 8, 12, 13, 15}},
+        {Kind::Droop, 1, {2, 8, 12, 13, 14, 15}},
+        {Kind::Droop, 2, {2, 8, 9, 11, 13}},
+        {Kind::Droop, 3, {2, 4, 6, 13}},
+        {Kind::Droop, 4, {0, 1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 13, 14, 15}},
+        {Kind::Droop, 5, {5, 9, 11, 12, 14}},
+        {Kind::Droop, 6, {0, 3, 6, 14}},
+    };
+    for (const Pin &pin : pins) {
+        fault::FaultModel model(campaign(pin.kind, pin.seed), kColumns);
+        const ProbeReport r =
+            runCalibrationProbe(makeConfig(), &model, 0);
+        EXPECT_EQ(r.suspectColumns, pin.suspects)
+            << "kind " << static_cast<int>(pin.kind) << " seed "
+            << pin.seed << ": " << r.str();
+    }
+}
+
+/**
+ * At the serving width (32 columns) the probe flags exactly the dead
+ * columns: no draw depends on another column's decisions, so a dead
+ * column cannot perturb a healthy column's readout.
+ */
+TEST(ProbeTest, DeadSuspectsAreExactlyTheDeadColumns)
+{
+    constexpr std::size_t kWide = 32;
+    arch::ColumnArrayConfig cfg = makeConfig();
+    cfg.columns = kWide;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        fault::FaultModel model(campaign(Kind::Dead, seed), kWide);
+        std::vector<std::size_t> dead;
+        for (std::size_t i = 0; i < kWide; ++i) {
+            if (model.column(i).dead)
+                dead.push_back(i);
+        }
+        const ProbeReport r = runCalibrationProbe(cfg, &model, 0);
+        EXPECT_EQ(r.suspectColumns, dead)
+            << "seed " << seed << ": " << r.str();
+    }
 }
 
 TEST(ProbeDeathTest, RejectsBadThreshold)

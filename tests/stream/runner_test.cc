@@ -126,8 +126,9 @@ TEST(StreamRunnerTest, DropNewestShedsLoadPastSaturation)
     EXPECT_EQ(r.framesCompleted, r.framesAdmitted);
     // Dropped frames stay -1; completed ones carry the right class.
     for (std::uint64_t i = 0; i < 200; ++i) {
-        if (r.predictions[i] != -1)
+        if (r.predictions[i] != -1) {
             EXPECT_EQ(r.predictions[i], expectedPrediction(i));
+        }
     }
 }
 
@@ -151,8 +152,9 @@ TEST(StreamRunnerTest, DropOldestAdmitsAllEvictsStalest)
     // The newest frame is never evicted, so the last index survives.
     EXPECT_EQ(r.predictions[199], expectedPrediction(199));
     for (std::uint64_t i = 0; i < 200; ++i) {
-        if (r.predictions[i] != -1)
+        if (r.predictions[i] != -1) {
             EXPECT_EQ(r.predictions[i], expectedPrediction(i));
+        }
     }
 }
 
@@ -182,10 +184,11 @@ TEST(StreamRunnerTest, ContentIdenticalAcrossWorkerCountsAndPolicies)
         const StreamReport r = runner.run();
         // Which frames complete may differ; their content may not.
         for (std::uint64_t i = 0; i < 128; ++i) {
-            if (r.predictions[i] != -1)
+            if (r.predictions[i] != -1) {
                 EXPECT_EQ(r.predictions[i], ref.predictions[i])
                     << "frame " << i << " with "
                     << admissionPolicyName(cfg.policy);
+            }
         }
     }
 }
@@ -303,8 +306,9 @@ TEST(StreamRunnerTest, WatchdogFailsStalledFrameWithoutDeadlock)
     EXPECT_EQ(r.framesCompleted + r.framesFailed, 12u);
     EXPECT_EQ(r.predictions[2], -1); // failed, never forwarded
     for (std::uint64_t i = 0; i < 12; ++i) {
-        if (r.predictions[i] != -1)
+        if (r.predictions[i] != -1) {
             EXPECT_EQ(r.predictions[i], expectedPrediction(i));
+        }
     }
 }
 
@@ -348,8 +352,9 @@ TEST(StreamRunnerTest, StageCanSurrenderAFrame)
     EXPECT_EQ(r.framesCompleted, 15u);
     EXPECT_EQ(r.predictions[5], -1);
     for (std::uint64_t i = 0; i < 16; ++i) {
-        if (i != 5)
+        if (i != 5) {
             EXPECT_EQ(r.predictions[i], expectedPrediction(i));
+        }
     }
 }
 

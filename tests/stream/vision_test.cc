@@ -68,9 +68,10 @@ TEST(VisionStreamTest, DeterministicAcrossWorkersAndPolicies)
     const StreamReport dropping =
         runVision(source, 1, 2, AdmissionPolicy::DropOldest);
     for (std::uint64_t i = 0; i < kFrames; ++i) {
-        if (dropping.predictions[i] != -1)
+        if (dropping.predictions[i] != -1) {
             EXPECT_EQ(dropping.predictions[i], ref.predictions[i])
                 << "frame " << i;
+        }
     }
 }
 
