@@ -3,8 +3,9 @@
  * Microbenchmarks of the analog circuit primitives, plus the Section
  * IV-A ablation: charge-sharing tunable capacitor versus the naive
  * binary-weighted MAC sampling array (the 32x energy claim), and the
- * layer-level costs of the functional engine: one keyed Gaussian and
- * one depth-1 MiniGoogLeNet frame through RedEyeDevice.
+ * layer-level costs of the functional engine: one keyed Gaussian, one
+ * keyed comparator decision and SAR conversion, and one depth-1
+ * MiniGoogLeNet frame through RedEyeDevice.
  */
 
 #include <benchmark/benchmark.h>
@@ -123,6 +124,49 @@ BM_KeyedGaussian(benchmark::State &state)
     }
 }
 BENCHMARK(BM_KeyedGaussian);
+
+/**
+ * One max-pool comparison as the array makes it: a fresh element
+ * stream, then one decision. `tie` compares equal inputs, so about
+ * two thirds of decisions are forced (a coin, no logarithm); `wide`
+ * compares inputs 0.3 V apart, always decided honestly.
+ */
+void
+BM_KeyedComparatorDecision(benchmark::State &state, double delta)
+{
+    DynamicComparator cmp(ComparatorParams{}, ProcessParams::typical());
+    const std::uint64_t layer_key = keyedLayer(0x5eed, 1);
+    std::uint64_t element = 0;
+    for (auto _ : state) {
+        KeyedRng rng(layer_key, element++);
+        benchmark::DoNotOptimize(cmp.compare(0.4 + delta, 0.4, rng));
+    }
+    state.counters["forced_frac"] =
+        static_cast<double>(cmp.forcedCount()) /
+        static_cast<double>(cmp.decisionCount());
+}
+BENCHMARK_CAPTURE(BM_KeyedComparatorDecision, tie, 0.0);
+BENCHMARK_CAPTURE(BM_KeyedComparatorDecision, wide, 0.3);
+
+/** One SAR conversion from a fresh element stream, as the readout. */
+void
+BM_KeyedSarConversion(benchmark::State &state)
+{
+    Rng seed(4);
+    SarAdc adc(SarAdcParams{}, ProcessParams::typical(), seed);
+    adc.setResolution(static_cast<unsigned>(state.range(0)));
+    const std::uint64_t layer_key = keyedLayer(0x5eed, 2);
+    std::uint64_t element = 0;
+    for (auto _ : state) {
+        KeyedRng rng(layer_key, element);
+        // Inputs sweep the range so every code path is taken.
+        const double v = adc.vref() * static_cast<double>(element % 97) /
+                         96.0;
+        ++element;
+        benchmark::DoNotOptimize(adc.convert(v, rng));
+    }
+}
+BENCHMARK(BM_KeyedSarConversion)->Arg(4);
 
 /**
  * One depth-1 MiniGoogLeNet frame (conv1 + ReLU, pool1, 4-bit

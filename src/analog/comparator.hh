@@ -12,12 +12,13 @@
 #ifndef REDEYE_ANALOG_COMPARATOR_HH
 #define REDEYE_ANALOG_COMPARATOR_HH
 
+#include <cmath>
+#include <cstddef>
+
 #include "analog/process.hh"
+#include "core/rng.hh"
 
 namespace redeye {
-
-class KeyedRng;
-class Rng;
 
 namespace analog {
 
@@ -56,20 +57,30 @@ class DynamicComparator
      */
     Decision compare(double a, double b, Rng &rng);
 
-    /** As above, drawing from a keyed stream (core/rng.hh). */
-    Decision compare(double a, double b, KeyedRng &rng);
+    /**
+     * As above, drawing from a keyed stream (core/rng.hh). Inline:
+     * the functional array makes ~10^5 decisions per frame.
+     */
+    Decision
+    compare(double a, double b, KeyedRng &rng)
+    {
+        return decide(a, b, rng);
+    }
 
     /** Decision time for a given input difference (pre-timeout). */
     double decisionTime(double delta_v) const;
 
-    /** Probability bound that honest regeneration exceeds timeout. */
-    double metastableDeltaV() const;
+    /**
+     * Input difference at or below which honest regeneration would
+     * reach the timeout: |delta| <= this iff decisionTime >= timeout.
+     */
+    double metastableDeltaV() const { return metastableV_; }
 
     /** Nominal (full-swing) energy per decision [J]. */
-    double nominalEnergy() const;
+    double nominalEnergy() const { return params_.energyPerDecisionJ; }
 
     /** Worst-case (timeout) energy per decision [J]. */
-    double timeoutEnergy() const;
+    double timeoutEnergy() const { return timeoutJ_; }
 
     const ComparatorParams &params() const { return params_; }
 
@@ -88,12 +99,57 @@ class DynamicComparator
     /** Shared body of the compare() overloads. */
     template <class Gen> Decision decide(double a, double b, Gen &rng);
 
+    /** Regeneration time beyond nominal for 0 < |delta| < swing. */
+    double
+    regenTime(double mag) const
+    {
+        return tauS_ * (lnSwing_ - std::log(mag));
+    }
+
     ComparatorParams params_;
     ProcessParams process_;
+    // Derived once at construction.
+    double tauS_ = 0.0;        ///< regeneration tau at this corner [s]
+    double lnSwing_ = 0.0;     ///< ln(signal swing)
+    double metastableV_ = 0.0; ///< forced-decision bound on |delta|
+    double regenPowerW_ = 0.0; ///< extra power while regenerating
+    double timeoutJ_ = 0.0;    ///< energy of a forced decision
     double energyJ_ = 0.0;
     std::size_t forcedCount_ = 0;
     std::size_t decisionCount_ = 0;
 };
+
+template <class Gen>
+inline Decision
+DynamicComparator::decide(double a, double b, Gen &rng)
+{
+    Decision d;
+    const double noisy_delta = (a - b) +
+                               rng.gaussian(0.0,
+                                            params_.inputNoiseRms);
+    const double mag = std::fabs(noisy_delta);
+
+    // |delta| <= metastableV_ is exactly decisionTime() >= timeout,
+    // so a forced decision needs no logarithm.
+    if (mag <= metastableV_) {
+        // Forced arbitrary decision at the deadline.
+        d.forced = true;
+        d.timeS = params_.timeoutS;
+        d.energyJ = timeoutJ_;
+        d.aGreater = rng.bernoulli(0.5);
+        ++forcedCount_;
+    } else {
+        const double regen =
+            mag < process_.signalSwing ? regenTime(mag) : 0.0;
+        d.timeS = params_.nominalTimeS + regen;
+        d.energyJ = params_.energyPerDecisionJ + regenPowerW_ * regen;
+        d.aGreater = noisy_delta > 0.0;
+    }
+
+    energyJ_ += d.energyJ;
+    ++decisionCount_;
+    return d;
+}
 
 } // namespace analog
 } // namespace redeye

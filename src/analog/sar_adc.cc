@@ -32,6 +32,7 @@ SarAdc::SarAdc(SarAdcParams params, const ProcessParams &process,
     bridgeCapF_ = drawMismatchedCap(process_.unitCapF,
                                     process_.unitCapF,
                                     params_.capMismatchSigma0, rng);
+    setResolution(params_.maxBits);
 }
 
 void
@@ -41,15 +42,11 @@ SarAdc::setResolution(unsigned bits)
              "resolution ", bits, " outside [1, ", params_.maxBits,
              "]");
     bits_ = bits;
-}
-
-double
-SarAdc::totalCapF() const
-{
-    double sum = bridgeCapF_;
+    cSigmaF_ = bridgeCapF_;
     for (unsigned i = 0; i < bits_; ++i)
-        sum += capsF_[i];
-    return sum;
+        cSigmaF_ += capsF_[i];
+    voltsPerF_ = vref() / cSigmaF_;
+    switchJ_ = params_.switchingAlpha * cSigmaF_ * vref() * vref();
 }
 
 template <class Gen>
@@ -57,14 +54,13 @@ std::uint32_t
 SarAdc::sample(double v_in, Gen &rng)
 {
     const double v = std::clamp(v_in, 0.0, vref());
-    const double c_sigma = totalCapF();
 
     std::uint32_t code = 0;
     double dac_caps = 0.0; // capacitance currently switched to Vref
     for (unsigned i = bits_; i >= 1; --i) {
         const double trial_caps = dac_caps + capsF_[i - 1];
-        const double v_dac = vref() * trial_caps / c_sigma;
-        const Decision d = comparator_.compare(v, v_dac, rng);
+        const Decision d =
+            comparator_.compare(v, trial_caps * voltsPerF_, rng);
         if (d.aGreater) {
             code |= 1u << (i - 1);
             dac_caps = trial_caps;
@@ -73,7 +69,7 @@ SarAdc::sample(double v_in, Gen &rng)
 
     // Array switching energy plus the comparator energy already
     // accounted inside the comparator; fold both into this ADC.
-    energyJ_ += params_.switchingAlpha * c_sigma * vref() * vref();
+    energyJ_ += switchJ_;
     energyJ_ += comparator_.energyJ();
     comparator_.resetEnergy();
     return code;
@@ -101,8 +97,7 @@ SarAdc::reconstruct(std::uint32_t code) const
 double
 SarAdc::energyPerConversion() const
 {
-    return params_.switchingAlpha * totalCapF() * vref() * vref() +
-           static_cast<double>(bits_) * comparator_.nominalEnergy();
+    return switchJ_ + static_cast<double>(bits_) * comparator_.nominalEnergy();
 }
 
 double

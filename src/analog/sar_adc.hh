@@ -76,7 +76,7 @@ class SarAdc
     double reconstruct(std::uint32_t code) const;
 
     /** Active array capacitance C_sigma at the current resolution. */
-    double totalCapF() const;
+    double totalCapF() const { return cSigmaF_; }
 
     /** Analytic energy of one conversion at current resolution [J]. */
     double energyPerConversion() const;
@@ -107,6 +107,10 @@ class SarAdc
     unsigned bits_;
     std::vector<double> capsF_; ///< mismatched C_i, i = 1..maxBits
     double bridgeCapF_;         ///< terminating C0
+    // Derived by setResolution().
+    double cSigmaF_ = 0.0;   ///< active array capacitance C_sigma
+    double voltsPerF_ = 0.0; ///< DAC volts per switched farad
+    double switchJ_ = 0.0;   ///< array switching energy per conversion
     double energyJ_ = 0.0;
 };
 

@@ -47,12 +47,15 @@
  * For a fixed (key, layer) the map element -> seed is a bijection,
  * so no two elements of a layer share a stream. An element's draws
  * depend on nothing but its triple: not on which physical column
- * serves it, nor on the order elements are visited.
+ * serves it, nor on the order elements are visited. Normals come
+ * from a ziggurat (detail::Ziggurat), which settles most draws with
+ * one raw word, one compare and one multiply.
  */
 
 #ifndef REDEYE_CORE_RNG_HH
 #define REDEYE_CORE_RNG_HH
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <random>
@@ -98,11 +101,17 @@ class Rng
                                                            hi)(engine_);
     }
 
-    /** Gaussian with the given mean and standard deviation. */
+    /**
+     * Gaussian with the given mean and standard deviation
+     * (stddev >= 0; 0 returns @p mean). Scales a standard normal, as
+     * std::normal_distribution(mean, stddev) does internally, so the
+     * draws and the engine's consumption are the same for stddev > 0.
+     */
     double
     gaussian(double mean = 0.0, double stddev = 1.0)
     {
-        return std::normal_distribution<double>(mean, stddev)(engine_);
+        return std::normal_distribution<double>()(engine_) * stddev +
+               mean;
     }
 
     /** Poisson sample with the given mean (mean >= 0). */
@@ -171,6 +180,57 @@ keyedLayer(std::uint64_t key, std::uint64_t layer)
     return splitmix64(key ^ splitmix64(layer + kLayerSalt));
 }
 
+namespace detail {
+
+/**
+ * Tables of a 128-layer ziggurat for the standard normal
+ * (Marsaglia & Tsang 2000, with Doornik's 2005 fix): 128 layers of
+ * equal area V cover f(x) = exp(-x^2 / 2) on x >= 0, the bottom one
+ * holding the tail beyond R. A draw takes the layer index from the
+ * low 7 bits of one 64-bit word, the sign from bit 7 and a uniform
+ * magnitude from the top 53 bits, so index, sign and magnitude never
+ * share a bit (Doornik's point: Marsaglia & Tsang's original drew the
+ * index from the uniform's own bits, which correlates them).
+ */
+struct Ziggurat {
+    static constexpr unsigned kLayers = 128;
+    static constexpr unsigned kLayerMask = kLayers - 1;
+    static constexpr std::uint64_t kSignBit = 0x80;
+    // R (the tail start) and V (each layer's area) solve
+    // V = R f(R) + integral of f beyond R with the top layer closing
+    // at f(0) = 1, to double precision; the often-quoted 12-digit
+    // pair closes it only to about 1e-9.
+    static constexpr double kR = 3.4426198558966521;
+    static constexpr double kV = 9.9125630353364611e-3;
+
+    /**
+     * Right edges: x[0] = V / f(R) is the bottom layer's virtual
+     * width, x[1] = R, x[128] = 0; layer i spans [0, x[i]] by
+     * [f(x[i]), f(x[i+1])].
+     */
+    double x[kLayers + 1] = {};
+    double f[kLayers + 1] = {}; ///< f(x[i]); f[0] = 0, f[128] = 1
+    /**
+     * A 53-bit magnitude u < inner[i] maps to u * 2^-53 * x[i] <
+     * x[i+1]: inside the layer's rectangle under the curve, accepted
+     * outright.
+     */
+    std::uint64_t inner[kLayers] = {};
+    double scale[kLayers] = {}; ///< x[i] * 2^-53
+
+    static Ziggurat build();
+};
+
+/** The tables, built on first use. */
+inline const Ziggurat &
+ziggurat()
+{
+    static const Ziggurat tables = Ziggurat::build();
+    return tables;
+}
+
+} // namespace detail
+
 /**
  * Counter-based stream for keyed draws (see the file comment): the
  * n-th raw draw is splitmix64(seed + n * golden), i.e. a SplitMix64
@@ -203,25 +263,30 @@ class KeyedRng
     }
 
     /**
-     * Standard normal draw (Box-Muller). Each pair of uniforms
-     * yields two independent normals; the second is kept for the
-     * next call.
+     * Standard normal draw: the ziggurat of detail::Ziggurat. About
+     * 97% of raw draws land in a layer's inner rectangle and settle
+     * the call with one compare and one multiply; the rest go
+     * through the wedge or tail test.
      */
     double
     normal()
     {
-        if (haveSpare_) {
-            haveSpare_ = false;
-            return spare_;
+        const detail::Ziggurat &z = detail::ziggurat();
+        for (;;) {
+            const std::uint64_t r = raw();
+            const unsigned layer = r & detail::Ziggurat::kLayerMask;
+            const std::uint64_t u = r >> 11; // 53 uniform bits
+            double x = 0.0;
+            if (u < z.inner[layer])
+                x = static_cast<double>(u) * z.scale[layer];
+            else if (!edge(layer, u, x))
+                continue;
+            // Bit 7 becomes the sign bit of x >= 0: branch-free, as
+            // the sign is a coin flip no predictor can learn.
+            return std::bit_cast<double>(
+                std::bit_cast<std::uint64_t>(x) |
+                (r & detail::Ziggurat::kSignBit) << 56);
         }
-        // u1 in (0, 1] keeps the logarithm finite.
-        const double u1 =
-            static_cast<double>((raw() >> 11) + 1) * 0x1.0p-53;
-        const double theta = 6.283185307179586 * uniform();
-        const double r = std::sqrt(-2.0 * std::log(u1));
-        spare_ = r * std::sin(theta);
-        haveSpare_ = true;
-        return r * std::cos(theta);
     }
 
     /** Gaussian with the given mean and standard deviation. */
@@ -235,9 +300,15 @@ class KeyedRng
     bool bernoulli(double p) { return uniform() < p; }
 
   private:
-    std::uint64_t state_;
-    double spare_ = 0.0;
-    bool haveSpare_ = false;
+    /**
+     * The ziggurat's slow path for a draw outside layer @p layer's
+     * inner rectangle: the tail beyond R for layer 0, else the wedge
+     * test. Sets @p x to the magnitude and returns true on
+     * acceptance; false asks for a fresh draw.
+     */
+    bool edge(unsigned layer, std::uint64_t u, double &x);
+
+    std::uint64_t state_ = 0;
 };
 
 } // namespace redeye

@@ -185,6 +185,17 @@ ColumnArray::activeFaults(std::size_t physical) const
     return f.activeAt(faultFrame_) ? &f : nullptr;
 }
 
+std::vector<ColumnArray::Port>
+ColumnArray::portsFor(std::size_t width)
+{
+    std::vector<Port> ports(width);
+    for (std::size_t x = 0; x < width; ++x) {
+        const std::size_t physical = physicalFor(x);
+        ports[x] = {&cols_[physical], activeFaults(physical)};
+    }
+    return ports;
+}
+
 Tensor
 ColumnArray::runConvolution(const Tensor &in,
                             nn::ConvolutionLayer &layer, bool rectify)
@@ -266,9 +277,9 @@ ColumnArray::runConvolution(const Tensor &in,
     // scaling the signal and its write noise alike.
     std::vector<double> droop(is.w, 1.0);
     bool any_droop = false;
+    const std::vector<Port> sources = portsFor(is.w);
     for (std::size_t x = 0; x < is.w; ++x) {
-        if (const fault::ColumnFaults *sf =
-                activeFaults(physicalFor(x))) {
+        if (const fault::ColumnFaults *sf = sources[x].faults) {
             droop[x] = std::exp(-buffer_.params().droopPerSecond *
                                 sf->extraHoldS);
             any_droop |= droop[x] != 1.0;
@@ -322,15 +333,16 @@ ColumnArray::runConvolution(const Tensor &in,
     };
 
     const std::size_t positions = p.kernelH * p.kernelW;
+    const std::vector<Port> ports = portsFor(os.w);
     std::vector<double> buf_weight(positions);
     double mac_bits = 0.0;
     std::size_t mem_taps = 0;
     Tensor out(Shape(1, os.c, os.h, os.w));
+    float *dst = out.data();
     for (std::size_t oy = 0; oy < os.h; ++oy) {
         for (std::size_t ox = 0; ox < os.w; ++ox) {
             const std::size_t win = oy * os.w + ox;
-            const fault::ColumnFaults *cf =
-                activeFaults(physicalFor(ox));
+            const fault::ColumnFaults *cf = ports[ox].faults;
             const ConvKernel &k = kernelFor(cf);
 
             // Buffer noise weight of each kernel position: zero off
@@ -386,7 +398,8 @@ ColumnArray::runConvolution(const Tensor &in,
                     g2n * (bit_var * k.bitNoise[oc] +
                            buf_scale * buf_sum) +
                     fixed_var;
-                KeyedRng rng(layer_key, (oc * os.h + oy) * os.w + ox);
+                const std::size_t element = oc * windows + win;
+                KeyedRng rng(layer_key, element);
                 double volts = sys_gain * volts_per_code * dot +
                                std::sqrt(var) * rng.normal();
                 if (p.bias)
@@ -404,8 +417,7 @@ ColumnArray::runConvolution(const Tensor &in,
                 // layers clip at zero as well (folded ReLU).
                 volts = std::clamp(volts, rectify ? 0.0 : -swing,
                                    swing);
-                out.at(0, oc, oy, ox) =
-                    static_cast<float>(volts * out_factor);
+                dst[element] = static_cast<float>(volts * out_factor);
             }
         }
     }
@@ -429,34 +441,40 @@ ColumnArray::runMaxPool(const Tensor &in, const nn::MaxPoolLayer &layer)
     const double swing = process_.signalSwing;
     const double in_scale = std::max(1e-12,
                                      static_cast<double>(in.absMax()));
+    const std::vector<Port> ports = portsFor(os.w);
+
+    // In-bounds input range [lo, hi) of output coordinate o's window.
+    struct Span {
+        std::size_t lo, hi;
+    };
+    auto span = [&](std::size_t o, std::size_t extent) {
+        const long first = static_cast<long>(o * p.stride) -
+                           static_cast<long>(p.pad);
+        const long last = first + static_cast<long>(p.kernel);
+        return Span{static_cast<std::size_t>(std::max(0L, first)),
+                    static_cast<std::size_t>(std::clamp(
+                        last, 0L, static_cast<long>(extent)))};
+    };
 
     Tensor out(Shape(1, os.c, os.h, os.w));
+    float *dst = out.data();
+    std::size_t element = 0;
     for (std::size_t oc = 0; oc < os.c; ++oc) {
+        const float *plane = in.data() + oc * is.h * is.w;
         for (std::size_t oy = 0; oy < os.h; ++oy) {
-            for (std::size_t ox = 0; ox < os.w; ++ox) {
-                const std::size_t pcol = physicalFor(ox);
-                Column &col = cols_[pcol];
-                const fault::ColumnFaults *cf = activeFaults(pcol);
-                KeyedRng rng(layer_key, (oc * os.h + oy) * os.w + ox);
+            const Span ys = span(oy, is.h);
+            for (std::size_t ox = 0; ox < os.w; ++ox, ++element) {
+                const Port &port = ports[ox];
+                const fault::ColumnFaults *cf = port.faults;
+                analog::DynamicComparator &cmp = port.column->comparator;
+                const Span xs = span(ox, is.w);
+                KeyedRng rng(layer_key, element);
                 bool have = false;
                 double best = 0.0;
-                for (std::size_t ky = 0; ky < p.kernel; ++ky) {
-                    const long iy = static_cast<long>(oy * p.stride +
-                                                      ky) -
-                                    static_cast<long>(p.pad);
-                    if (iy < 0 || iy >= static_cast<long>(is.h))
-                        continue;
-                    for (std::size_t kx = 0; kx < p.kernel; ++kx) {
-                        const long ix = static_cast<long>(
-                                            ox * p.stride + kx) -
-                                        static_cast<long>(p.pad);
-                        if (ix < 0 || ix >= static_cast<long>(is.w))
-                            continue;
-                        double v =
-                            in.at(0, oc,
-                                  static_cast<std::size_t>(iy),
-                                  static_cast<std::size_t>(ix)) /
-                            in_scale * swing;
+                for (std::size_t iy = ys.lo; iy < ys.hi; ++iy) {
+                    const float *row = plane + iy * is.w;
+                    for (std::size_t ix = xs.lo; ix < xs.hi; ++ix) {
+                        const double v = row[ix] / in_scale * swing;
                         if (!have) {
                             best = v;
                             have = true;
@@ -467,16 +485,15 @@ ColumnArray::runMaxPool(const Tensor &in, const nn::MaxPoolLayer &layer)
                         // routed signal itself is unshifted.
                         const double seen =
                             cf ? v + cf->comparatorOffsetV : v;
-                        const auto d = col.comparator.compare(seen,
-                                                              best,
-                                                              rng);
-                        best = d.aGreater ? v : best;
+                        best = cmp.compare(seen, best, rng).aGreater
+                                   ? v
+                                   : best;
                     }
                 }
                 if (cf && cf->dead)
                     best = swing; // railed column
-                out.at(0, oc, oy, ox) = static_cast<float>(
-                    best * in_scale / swing);
+                dst[element] = static_cast<float>(best * in_scale /
+                                                  swing);
             }
         }
     }
@@ -486,44 +503,46 @@ ColumnArray::runMaxPool(const Tensor &in, const nn::MaxPoolLayer &layer)
 Tensor
 ColumnArray::runQuantization(const Tensor &in)
 {
+    // Rectified features are non-negative; map [0, max] onto the ADC
+    // range [0, vref].
+    return runQuantization(in, static_cast<double>(in.absMax()));
+}
+
+Tensor
+ColumnArray::runQuantization(const Tensor &in, double full_scale)
+{
     const Shape &is = in.shape();
     fatal_if(is.n != 1, "functional engine runs one frame at a time");
     const std::uint64_t layer_key = nextLayerKey();
 
-    // Rectified features are non-negative; map [0, max] onto the ADC
-    // range [0, vref].
-    const double in_max = std::max(1e-12,
-                                   static_cast<double>(in.absMax()));
+    const double in_max = std::max(1e-12, full_scale);
+    const std::vector<Port> ports = portsFor(is.w);
     Tensor out(is);
-    for (std::size_t c = 0; c < is.c; ++c) {
-        for (std::size_t y = 0; y < is.h; ++y) {
-            for (std::size_t x = 0; x < is.w; ++x) {
-                const std::size_t pcol = physicalFor(x);
-                Column &col = cols_[pcol];
-                const fault::ColumnFaults *cf = activeFaults(pcol);
-                const double v = std::max(
-                    0.0, static_cast<double>(in.at(0, c, y, x)));
-                double volts = v / in_max * col.adc.vref();
-                if (cf && cf->dead)
-                    volts = col.adc.vref(); // railed input
-                KeyedRng rng(layer_key, (c * is.h + y) * is.w + x);
-                auto code = col.adc.convert(volts, rng);
-                if (cf && cf->adcStuckBit >= 0 &&
-                    cf->adcStuckBit <
-                        static_cast<int>(col.adc.resolution())) {
-                    // Frozen SAR bit. Only bits the programmed
-                    // resolution keeps in the array can stick; a
-                    // stuck capacitor among the cut-off bits is
-                    // harmless.
-                    const std::uint32_t mask =
-                        1u << cf->adcStuckBit;
-                    code = cf->adcStuckHigh ? (code | mask)
-                                            : (code & ~mask);
-                }
-                out.at(0, c, y, x) = static_cast<float>(
-                    col.adc.reconstruct(code) / col.adc.vref() *
-                    in_max);
+    const float *src = in.data();
+    float *dst = out.data();
+    const std::size_t rows = is.c * is.h;
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t x = 0; x < is.w; ++x) {
+            const std::size_t element = r * is.w + x;
+            const fault::ColumnFaults *cf = ports[x].faults;
+            analog::SarAdc &adc = ports[x].column->adc;
+            const double v =
+                std::max(0.0, static_cast<double>(src[element]));
+            double volts = v / in_max * adc.vref();
+            if (cf && cf->dead)
+                volts = adc.vref(); // railed input
+            KeyedRng rng(layer_key, element);
+            auto code = adc.convert(volts, rng);
+            if (cf && cf->adcStuckBit >= 0 &&
+                cf->adcStuckBit < static_cast<int>(adc.resolution())) {
+                // Frozen SAR bit. Only bits the programmed resolution
+                // keeps in the array can stick; a stuck capacitor
+                // among the cut-off bits is harmless.
+                const std::uint32_t mask = 1u << cf->adcStuckBit;
+                code = cf->adcStuckHigh ? (code | mask) : (code & ~mask);
             }
+            dst[element] = static_cast<float>(
+                adc.reconstruct(code) / adc.vref() * in_max);
         }
     }
     return out;

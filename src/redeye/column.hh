@@ -128,9 +128,16 @@ class ColumnArray
 
     /**
      * Quantize through the per-column SAR ADCs and reconstruct to
-     * value domain (what the host receives after bit alignment).
+     * value domain (what the host receives after bit alignment). The
+     * ADC full scale is the tensor's own absMax().
      */
     Tensor runQuantization(const Tensor &in);
+
+    /**
+     * As above on a given full scale: values in [0, @p full_scale]
+     * map onto the ADC range, larger ones clip at its top code.
+     */
+    Tensor runQuantization(const Tensor &in, double full_scale);
 
     /** Reprogram the noise admission of the conv modules. */
     void setConvSnrDb(double snr_db);
@@ -183,6 +190,18 @@ class ColumnArray
         analog::DynamicComparator comparator;
         analog::SarAdc adc;
     };
+
+    /** A logical position's column and its armed faults. */
+    struct Port {
+        Column *column = nullptr;
+        const fault::ColumnFaults *faults = nullptr; ///< nullptr: none
+    };
+
+    /**
+     * Ports of logical positions [0, @p width), resolved once per
+     * run*() call rather than once per element.
+     */
+    std::vector<Port> portsFor(std::size_t width);
 
     /** Physical column serving logical position @p x. */
     std::size_t

@@ -41,19 +41,27 @@ probeRamp(std::size_t columns)
 
 /** Run the probe workload through one array. */
 struct ProbeOutputs {
-    Tensor conv;   ///< conv + readout, one value per column
-    Tensor pooled; ///< 2-wide max pool, comparator decisions
+    Tensor conv;            ///< conv + readout, one value per column
+    Tensor pooled;          ///< 2-wide max pool, comparator decisions
+    double fullScale = 0.0; ///< readout full scale
 };
 
+/**
+ * Run the workload through @p array. The convolution is read out on
+ * @p reference's full scale when given, else on its own absMax(), as
+ * the device readout does.
+ */
 ProbeOutputs
 runWorkload(arch::ColumnArray &array, const Tensor &ramp,
-            nn::ConvolutionLayer &conv,
-            const nn::MaxPoolLayer &pool)
+            nn::ConvolutionLayer &conv, const nn::MaxPoolLayer &pool,
+            const ProbeOutputs *reference)
 {
     ProbeOutputs out;
     Tensor convolved = array.runConvolution(ramp, conv, true);
+    out.fullScale = reference ? reference->fullScale
+                              : static_cast<double>(convolved.absMax());
     out.pooled = array.runMaxPool(convolved, pool);
-    out.conv = array.runQuantization(convolved);
+    out.conv = array.runQuantization(convolved, out.fullScale);
     return out;
 }
 
@@ -99,8 +107,14 @@ runCalibrationProbe(const arch::ColumnArrayConfig &array_config,
     arch::ColumnArray probed(array_config, process, Rng(config.seed));
     probed.armFaults(faults, frame);
 
-    const ProbeOutputs want = runWorkload(reference, ramp, conv, pool);
-    const ProbeOutputs got = runWorkload(probed, ramp, conv, pool);
+    // Both arrays read out on the reference's full scale. On its own
+    // scale, a railed or drooped column would move the probed
+    // array's readout steps, and healthy columns near a code
+    // boundary would land one LSB off the reference.
+    const ProbeOutputs want =
+        runWorkload(reference, ramp, conv, pool, nullptr);
+    const ProbeOutputs got =
+        runWorkload(probed, ramp, conv, pool, &want);
 
     const double scale = std::max(
         1e-12, static_cast<double>(want.conv.absMax()));

@@ -1,5 +1,8 @@
 /** @file Tests for the dynamic comparator with metastability forcing. */
 
+#include <cmath>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "analog/comparator.hh"
@@ -108,6 +111,65 @@ TEST(ComparatorTest, CountsAccumulate)
     EXPECT_GT(cmp.energyJ(), 0.0);
     cmp.resetEnergy();
     EXPECT_EQ(cmp.energyJ(), 0.0);
+}
+
+/**
+ * A noise-free decision against the closed form, on differences just
+ * either side of the metastable threshold and of +-swing: with
+ * t = t0 + tau ln(swing / |d|) (t0 at or beyond swing), the decision
+ * is forced iff t >= timeout, at the timeout and its energy;
+ * otherwise it takes t and E + I Vdd (t - t0), and a wins iff d > 0.
+ */
+TEST(ComparatorTest, DecisionMatchesClosedForm)
+{
+    ComparatorParams params;
+    params.inputNoiseRms = 0.0;
+    const ProcessParams process = ProcessParams::typical();
+    DynamicComparator cmp(params, process);
+    const double t0 = params.nominalTimeS;
+    const double tau = params.regenTauS / process.speedFactor;
+    const double swing = process.signalSwing;
+    const double power = params.metastableCurrentA * process.supplyVoltage;
+    const double timeout_j =
+        params.energyPerDecisionJ + power * (params.timeoutS - t0);
+
+    std::vector<double> grid;
+    for (double centre : {cmp.metastableDeltaV(), swing}) {
+        for (int k = -40; k <= 40; ++k) {
+            if (k == 0)
+                continue;
+            // Steps of 1e-7 relative move t by ~2e-17 s, far beyond
+            // rounding; steps of 1e-3 reach well past the boundary.
+            for (double step : {1e-7, 1e-3}) {
+                grid.push_back(centre * (1.0 + k * step));
+                grid.push_back(-centre * (1.0 + k * step));
+            }
+        }
+    }
+    std::size_t forced = 0;
+    Rng rng(8);
+    for (double d : grid) {
+        const double mag = std::fabs(d);
+        const double t =
+            mag >= swing ? t0 : t0 + tau * std::log(swing / mag);
+        const Decision got = cmp.compare(d, 0.0, rng);
+        if (t >= params.timeoutS) {
+            ++forced;
+            EXPECT_TRUE(got.forced) << d;
+            EXPECT_EQ(got.timeS, params.timeoutS) << d;
+            EXPECT_NEAR(got.energyJ, timeout_j, timeout_j * 1e-12) << d;
+            continue;
+        }
+        EXPECT_FALSE(got.forced) << d;
+        EXPECT_EQ(got.aGreater, d > 0.0) << d;
+        EXPECT_NEAR(got.timeS, t, t * 1e-12) << d;
+        const double e = params.energyPerDecisionJ + power * (t - t0);
+        EXPECT_NEAR(got.energyJ, e, e * 1e-12) << d;
+    }
+    // Both sides of the threshold were exercised.
+    EXPECT_GT(forced, 0u);
+    EXPECT_LT(forced, grid.size());
+    EXPECT_EQ(cmp.forcedCount(), forced);
 }
 
 TEST(ComparatorTest, InvalidTimingFatal)

@@ -1,6 +1,7 @@
 /** @file Tests for the variable-resolution SAR ADC. */
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -149,6 +150,44 @@ TEST(SarAdcTest, ConversionAccruesEnergy)
     adc.resetEnergy();
     adc.convert(0.3, rng);
     EXPECT_GT(adc.energyJ(), 0.0);
+}
+
+/**
+ * Codes and energy of conversions at code boundaries (where the
+ * comparator noise decides bits and some decisions are forced) for a
+ * fixed Rng stream. Pinned to what the SAR returned when it summed
+ * C_sigma and divided by it on every bit trial: caching C_sigma and
+ * multiplying must not move a code, and moves energy by rounding only.
+ */
+TEST(SarAdcTest, CodesAndEnergyPinnedForFixedRngStream)
+{
+    struct Pin {
+        unsigned bits;
+        std::vector<std::uint32_t> codes;
+        double energyJ;
+    };
+    const std::vector<Pin> pins = {
+        {4,
+         {0, 0, 1,  1,  1,  2,  3,  3,  4,  4,  5,  5,  5,  6,  7,  7,
+          7, 8, 8,  9,  9,  10, 10, 11, 11, 12, 12, 13, 13, 14, 14, 15},
+         1.4498962668482828e-11},
+        {10,
+         {0,   31,  63,  95,  127, 160, 191, 224, 255, 288, 319,
+          352, 383, 416, 448, 479, 511, 543, 576, 608, 639, 672,
+          704, 735, 768, 800, 832, 863, 895, 928, 960, 991},
+         3.0123986855574635e-10},
+    };
+    for (const Pin &pin : pins) {
+        auto adc = makeAdc();
+        adc.setResolution(pin.bits);
+        Rng rng(7);
+        std::vector<std::uint32_t> codes;
+        for (std::size_t i = 0; i < pin.codes.size(); ++i)
+            codes.push_back(adc.convert(adc.vref() * i / 32.0, rng));
+        EXPECT_EQ(codes, pin.codes) << pin.bits << " bits";
+        EXPECT_NEAR(adc.energyJ(), pin.energyJ, pin.energyJ * 1e-12)
+            << pin.bits << " bits";
+    }
 }
 
 TEST(SarAdcTest, InvalidResolutionFatal)

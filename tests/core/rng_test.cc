@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numbers>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -108,6 +110,35 @@ TEST(RngTest, BernoulliProbability)
     for (int i = 0; i < 20000; ++i)
         hits += rng.bernoulli(0.3) ? 1 : 0;
     EXPECT_NEAR(hits / 20000.0, 0.3, 0.02);
+}
+
+/**
+ * gaussian() scales a standard normal itself: for stddev > 0 it
+ * returns exactly what std::normal_distribution(mean, stddev) does
+ * and leaves the engine in the same state.
+ */
+TEST(RngTest, GaussianMatchesStdNormalDistribution)
+{
+    Rng rng(23);
+    std::mt19937_64 engine(23);
+    for (int i = 0; i < 1000; ++i) {
+        const double mean = 0.01 * i - 3.0;
+        const double stddev = 0.5 + 0.001 * i;
+        EXPECT_EQ(rng.gaussian(mean, stddev),
+                  std::normal_distribution<double>(mean, stddev)(engine));
+    }
+    EXPECT_EQ(rng.raw(), engine());
+}
+
+/** stddev = 0 is a point mass at the mean (and still draws). */
+TEST(RngTest, GaussianZeroStddevReturnsMean)
+{
+    Rng rng(29), twin(29);
+    for (int i = 0; i < 100; ++i) {
+        EXPECT_EQ(rng.gaussian(1.25, 0.0), 1.25);
+        twin.gaussian(0.0, 1.0);
+    }
+    EXPECT_EQ(rng.raw(), twin.raw());
 }
 
 constexpr std::size_t kKeyedDraws = 100000;
@@ -241,7 +272,7 @@ TEST(KeyedRngTest, AdjacentCountersAndKeysUncorrelated)
         next_key[e] = firstNormal(42, 5, e);
         KeyedRng rng(keyedLayer(41, 7), e);
         draw0[e] = rng.normal();
-        rng.normal(); // the Box-Muller partner of draw0
+        rng.normal(); // lag 2: SuccessiveDrawsUncorrelated takes lag 1
         draw1[e] = rng.normal();
     }
     const double bound = 4.0 / std::sqrt(static_cast<double>(n));
@@ -249,6 +280,115 @@ TEST(KeyedRngTest, AdjacentCountersAndKeysUncorrelated)
     EXPECT_LT(std::fabs(correlation(a, next_layer)), bound);
     EXPECT_LT(std::fabs(correlation(a, next_key)), bound);
     EXPECT_LT(std::fabs(correlation(draw0, draw1)), bound);
+}
+
+/**
+ * The ziggurat tables tile the density: every layer, the bottom one
+ * with its tail included, has area V, and the top layer closes at
+ * f(0) = 1. Catches a wrong R/V pair or a mis-built table.
+ */
+TEST(KeyedRngTest, ZigguratLayersTileTheDensity)
+{
+    using detail::Ziggurat;
+    const Ziggurat &z = detail::ziggurat();
+    auto f = [](double x) { return std::exp(-0.5 * x * x); };
+    const double tail = std::sqrt(std::numbers::pi / 2.0) *
+                        std::erfc(Ziggurat::kR / std::sqrt(2.0));
+    EXPECT_NEAR(Ziggurat::kR * f(Ziggurat::kR) + tail, Ziggurat::kV,
+                Ziggurat::kV * 1e-12);
+    EXPECT_NEAR(z.x[0] * f(Ziggurat::kR), Ziggurat::kV, 1e-15);
+    for (unsigned i = 1; i < Ziggurat::kLayers; ++i) {
+        EXPECT_GT(z.x[i], z.x[i + 1]) << i;
+        EXPECT_NEAR(z.f[i], f(z.x[i]), 1e-15) << i;
+        const double top = i + 1 < Ziggurat::kLayers ? z.f[i + 1] : 1.0;
+        EXPECT_NEAR(z.x[i] * (top - z.f[i]), Ziggurat::kV,
+                    Ziggurat::kV * 1e-12)
+            << i;
+    }
+}
+
+/**
+ * Tail mass of 10^7 first draws (one per element, as conv windows
+ * draw them) beyond the ziggurat's tail start R and beyond 4.5
+ * sigma, both sides: each count within 4 standard deviations of its
+ * binomial expectation. Box-Muller and ziggurat bugs both tend to
+ * show in the tails, which the moment and KS tests barely see.
+ */
+TEST(KeyedRngTest, ZigguratTailMass)
+{
+    constexpr std::size_t n = 10000000;
+    const double cuts[] = {detail::Ziggurat::kR, 4.5};
+    std::size_t beyond[2] = {0, 0};
+    const std::uint64_t layer_key = keyedLayer(0x7a11, 3);
+    for (std::size_t e = 0; e < n; ++e) {
+        const double z = std::fabs(KeyedRng(layer_key, e).normal());
+        beyond[0] += z > cuts[0];
+        beyond[1] += z > cuts[1];
+    }
+    for (int i = 0; i < 2; ++i) {
+        const double p = std::erfc(cuts[i] / std::sqrt(2.0));
+        const double mean = p * n;
+        EXPECT_LT(std::fabs(static_cast<double>(beyond[i]) - mean),
+                  4.0 * std::sqrt(mean * (1.0 - p)))
+            << "beyond " << cuts[i] << ": " << beyond[i] << " vs "
+            << mean;
+    }
+}
+
+/**
+ * Shape of 10^7 first draws: a chi-square test over 0.1-sigma bins on
+ * [-5, 5] (bins expecting fewer than 20 draws dropped) against
+ * N(0, 1), bounded at its mean plus 4 standard deviations. Catches a
+ * wedge test that accepts points above the curve, which moves too
+ * little mass for the moment and KS tests at 10^5 draws.
+ */
+TEST(KeyedRngTest, ZigguratHistogramMatchesDensity)
+{
+    constexpr std::size_t n = 10000000;
+    constexpr int bins = 100;
+    constexpr double lo = -5.0, width = 0.1;
+    std::vector<double> counts(bins, 0.0);
+    const std::uint64_t layer_key = keyedLayer(0x7a11, 4);
+    for (std::size_t e = 0; e < n; ++e) {
+        const double z = KeyedRng(layer_key, e).normal();
+        const double b = std::floor((z - lo) / width);
+        if (b >= 0.0 && b < bins)
+            counts[static_cast<std::size_t>(b)] += 1.0;
+    }
+    auto cdf = [](double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); };
+    double chi2 = 0.0;
+    int dof = -1;
+    for (int b = 0; b < bins; ++b) {
+        const double expect =
+            n * (cdf(lo + (b + 1) * width) - cdf(lo + b * width));
+        if (expect < 20.0)
+            continue;
+        chi2 += (counts[b] - expect) * (counts[b] - expect) / expect;
+        ++dof;
+    }
+    EXPECT_LT(chi2, dof + 4.0 * std::sqrt(2.0 * dof))
+        << "chi2 " << chi2 << " over " << dof << " dof";
+}
+
+/**
+ * Successive draws of one stream (as a pool window's comparisons
+ * take them) are uncorrelated, in value and in magnitude; a sampler
+ * that reused bits across calls would correlate them.
+ */
+TEST(KeyedRngTest, SuccessiveDrawsUncorrelated)
+{
+    const std::size_t n = kKeyedDraws;
+    std::vector<double> z0(n), z1(n), m0(n), m1(n);
+    for (std::size_t e = 0; e < n; ++e) {
+        KeyedRng rng(keyedLayer(43, 1), e);
+        z0[e] = rng.normal();
+        z1[e] = rng.normal();
+        m0[e] = std::fabs(z0[e]);
+        m1[e] = std::fabs(z1[e]);
+    }
+    const double bound = 4.0 / std::sqrt(static_cast<double>(n));
+    EXPECT_LT(std::fabs(correlation(z0, z1)), bound);
+    EXPECT_LT(std::fabs(correlation(m0, m1)), bound);
 }
 
 } // namespace

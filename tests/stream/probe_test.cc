@@ -184,7 +184,10 @@ TEST(ProbeTest, SuspectSetsMatchPerTapEngine)
         {Kind::Droop, 1, {2, 8, 12, 13, 14, 15}},
         {Kind::Droop, 2, {2, 8, 9, 11, 13}},
         {Kind::Droop, 3, {2, 4, 6, 13}},
-        {Kind::Droop, 4, {0, 1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 13, 14, 15}},
+        // The per-tap engine also flagged healthy 3, 4, 6, 9, 10, 12
+        // and 13 here, before both arrays read out on the reference's
+        // full scale; the set is now exactly the leaky columns.
+        {Kind::Droop, 4, {0, 1, 2, 5, 11, 14, 15}},
         {Kind::Droop, 5, {5, 9, 11, 12, 14}},
         {Kind::Droop, 6, {0, 3, 6, 14}},
     };
@@ -219,6 +222,52 @@ TEST(ProbeTest, DeadSuspectsAreExactlyTheDeadColumns)
         EXPECT_EQ(r.suspectColumns, dead)
             << "seed " << seed << ": " << r.str();
     }
+}
+
+/** Columns with any realized fault, ascending. */
+std::vector<std::size_t>
+faultyColumns(const fault::FaultModel &model)
+{
+    std::vector<std::size_t> faulty;
+    for (std::size_t i = 0; i < model.columns(); ++i) {
+        if (model.column(i).any())
+            faulty.push_back(i);
+    }
+    return faulty;
+}
+
+/**
+ * Ground truth over probe noise: for 100 probe seeds, a single dead
+ * column, dead-rate and droop campaigns at the test width flag
+ * exactly the faulty columns, with no healthy column a suspect and
+ * no faulty one missed. Holds because both arrays read out on the
+ * reference's full scale, so a railed or drooped column cannot move
+ * a healthy column's readout steps.
+ */
+TEST(ProbeTest, SuspectsAreTheFaultyColumnsAtAnyProbeSeed)
+{
+    std::size_t dead_col = kColumns;
+    std::vector<fault::FaultCampaign> campaigns = {oneDeadColumn(dead_col)};
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        campaigns.push_back(campaign(Kind::Dead, seed));
+        campaigns.push_back(campaign(Kind::Droop, seed));
+    }
+    std::size_t faulty_total = 0;
+    for (const fault::FaultCampaign &c : campaigns) {
+        const fault::FaultModel model(c, kColumns);
+        const std::vector<std::size_t> faulty = faultyColumns(model);
+        faulty_total += faulty.size();
+        for (std::uint64_t s = 0; s < 100; ++s) {
+            ProbeConfig pc;
+            pc.seed = 0x9a0be + s;
+            const ProbeReport r =
+                runCalibrationProbe(makeConfig(), &model, 0, pc);
+            EXPECT_EQ(r.suspectColumns, faulty)
+                << "campaign seed " << c.seed << " probe seed "
+                << pc.seed << ": " << r.str();
+        }
+    }
+    EXPECT_GT(faulty_total, 20u); // the campaigns do afflict columns
 }
 
 TEST(ProbeDeathTest, RejectsBadThreshold)
