@@ -3,10 +3,15 @@
  * Microbenchmarks of the analog circuit primitives, plus the Section
  * IV-A ablation: charge-sharing tunable capacitor versus the naive
  * binary-weighted MAC sampling array (the 32x energy claim), and the
- * layer-level costs of the functional engine: one keyed Gaussian, one
- * keyed comparator decision and SAR conversion, and one depth-1
- * MiniGoogLeNet frame through RedEyeDevice.
+ * layer-level costs of the functional engine: one keyed Gaussian, a
+ * lane group of them, a layer's first draws, one keyed comparator
+ * decision and SAR conversion, the pool and readout layers on
+ * ReLU-sparse input, and one depth-1 MiniGoogLeNet frame through
+ * RedEyeDevice.
  */
+
+#include <algorithm>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +23,7 @@
 #include "core/rng.hh"
 #include "models/mini_googlenet.hh"
 #include "nn/network.hh"
+#include "nn/pool.hh"
 #include "redeye/device.hh"
 
 using namespace redeye;
@@ -126,6 +132,50 @@ BM_KeyedGaussian(benchmark::State &state)
 BENCHMARK(BM_KeyedGaussian);
 
 /**
+ * kLanes keyed normal draws in lockstep, one per fresh element stream,
+ * as a pool or readout lane group takes its first draw. Time is per
+ * lane group; compare with kLanes x BM_KeyedGaussian.
+ */
+void
+BM_KeyedLaneNormal(benchmark::State &state)
+{
+    const std::uint64_t layer_key = keyedLayer(0x5eed, 0);
+    LaneWords element = kLaneIndex;
+    const LaneMask all = (LaneMask)(kLaneIndex < kLanes);
+    LaneReals x;
+    for (auto _ : state) {
+        KeyedLanes rng(layer_key, element);
+        rng.normal(all, x);
+        benchmark::DoNotOptimize(x);
+        element += kLanes;
+    }
+    state.counters["ns_per_draw"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * kLanes),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_KeyedLaneNormal);
+
+/**
+ * The first normal of every element stream of a layer, as conv1's
+ * window loop takes them (32 channels x 32 x 32 windows).
+ */
+void
+BM_KeyedFirstNormals(benchmark::State &state)
+{
+    std::vector<double> out(32 * 32 * 32);
+    std::uint64_t layer = 0;
+    for (auto _ : state) {
+        KeyedLanes::firstNormals(keyedLayer(0x5eed, layer++), out.size(),
+                                 out.data());
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.counters["ns_per_draw"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * out.size()),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_KeyedFirstNormals)->Unit(benchmark::kMicrosecond);
+
+/**
  * One max-pool comparison as the array makes it: a fresh element
  * stream, then one decision. `tie` compares equal inputs, so about
  * two thirds of decisions are forced (a coin, no logarithm); `wide`
@@ -167,6 +217,59 @@ BM_KeyedSarConversion(benchmark::State &state)
     }
 }
 BENCHMARK(BM_KeyedSarConversion)->Arg(4);
+
+/**
+ * ReLU-sparse activations of @p shape: uniform in [-1, 1], negatives
+ * zeroed, so about half the values are exact zeros and max-pool
+ * windows compare zeros with zeros, as after a conv's ReLU.
+ */
+Tensor
+reluSparse(const Shape &shape)
+{
+    Tensor t(shape);
+    Rng rng(11);
+    t.fillUniform(rng, -1.0f, 1.0f);
+    for (std::size_t i = 0; i < t.size(); ++i)
+        t[i] = std::max(0.0f, t[i]);
+    return t;
+}
+
+/** pool1 of MiniGoogLeNet (3x3, stride 2) on a fresh array per run. */
+void
+BM_MaxPoolLayer(benchmark::State &state)
+{
+    arch::ColumnArrayConfig cfg;
+    cfg.columns = models::kMiniInputSize;
+    const nn::MaxPoolLayer pool("pool1", nn::PoolParams{3, 2, 0});
+    const Tensor x = reluSparse(Shape(1, 32, 32, 32));
+    std::uint64_t run = 0;
+    std::size_t forced = 0;
+    for (auto _ : state) {
+        arch::ColumnArray array(cfg, ProcessParams::typical(), Rng(run++));
+        benchmark::DoNotOptimize(array.runMaxPool(x, pool).data());
+        forced += array.forcedDecisions();
+    }
+    state.counters["forced_per_run"] =
+        static_cast<double>(forced) / static_cast<double>(run);
+}
+BENCHMARK(BM_MaxPoolLayer)->Unit(benchmark::kMicrosecond);
+
+/** The 4-bit readout of pool1's output on a fresh array per run. */
+void
+BM_QuantizeLayer(benchmark::State &state)
+{
+    arch::ColumnArrayConfig cfg;
+    cfg.columns = models::kMiniInputSize;
+    cfg.adcBits = 4;
+    const Tensor x = reluSparse(Shape(1, 32, 16, 16));
+    std::uint64_t run = 0;
+    for (auto _ : state) {
+        arch::ColumnArray array(cfg, ProcessParams::typical(), Rng(run++));
+        benchmark::DoNotOptimize(array.runQuantization(x).data());
+    }
+    state.counters["conversions"] = static_cast<double>(x.size());
+}
+BENCHMARK(BM_QuantizeLayer)->Unit(benchmark::kMicrosecond);
 
 /**
  * One depth-1 MiniGoogLeNet frame (conv1 + ReLU, pool1, 4-bit

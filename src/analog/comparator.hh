@@ -43,6 +43,20 @@ struct Decision {
     bool forced = false;   ///< true if the timeout forced it
 };
 
+/**
+ * Decisions that DynamicComparator::decide() made on lanes, per lane,
+ * awaiting accrue(): the counts, and the product of the honest
+ * decisions' |delta| clipped at the swing, so that their regeneration
+ * energy costs one logarithm per element instead of one per decision.
+ */
+struct LaneTally {
+    LaneWords forced = {};
+    LaneWords honest = {};
+    LaneReals product = LaneReals{} + 1.0;
+    /** ln of products folded out before they left the normal range. */
+    LaneReals lnFolded = {};
+};
+
 /** Dynamic latch comparator. */
 class DynamicComparator
 {
@@ -65,6 +79,40 @@ class DynamicComparator
     compare(double a, double b, KeyedRng &rng)
     {
         return decide(a, b, rng);
+    }
+
+    /**
+     * One decision on each lane of @p active: compare() of a[l] with
+     * b[l], drawing from lane l of @p rng, with compare()'s arithmetic
+     * and draws and no branches. @p aGreater gets the lanes where a
+     * wins (none outside @p active). Counts and energy wait in
+     * @p tally until accrue(). Every lane uses this comparator's
+     * constants, so the lanes' comparators must share parameters and
+     * process corner.
+     */
+    void decide(const LaneReals &a, const LaneReals &b,
+                const LaneMask &active, KeyedLanes &rng, LaneTally &tally,
+                LaneMask &aGreater) const;
+
+    /**
+     * Accrue lane @p lane of @p tally to this comparator: its counts,
+     * and the energy of its decisions. Forced ones cost
+     * timeoutEnergy(); n honest ones cost n nominal energies plus the
+     * regeneration P tau (n ln swing - ln prod |delta|), the sum of
+     * their regeneration energies.
+     */
+    void
+    accrue(const LaneTally &tally, unsigned lane)
+    {
+        const double forced = static_cast<double>(tally.forced[lane]);
+        const double honest = static_cast<double>(tally.honest[lane]);
+        const double ln_product =
+            std::log(tally.product[lane]) + tally.lnFolded[lane];
+        energyJ_ += forced * timeoutJ_ +
+                    honest * params_.energyPerDecisionJ +
+                    regenPowerW_ * tauS_ * (honest * lnSwing_ - ln_product);
+        forcedCount_ += tally.forced[lane];
+        decisionCount_ += tally.forced[lane] + tally.honest[lane];
     }
 
     /** Decision time for a given input difference (pre-timeout). */
@@ -149,6 +197,39 @@ DynamicComparator::decide(double a, double b, Gen &rng)
     energyJ_ += d.energyJ;
     ++decisionCount_;
     return d;
+}
+
+inline void
+DynamicComparator::decide(const LaneReals &a, const LaneReals &b,
+                          const LaneMask &active, KeyedLanes &rng,
+                          LaneTally &tally, LaneMask &aGreater) const
+{
+    constexpr std::uint64_t kMagnitude = ~(std::uint64_t{1} << 63);
+    LaneReals noise;
+    rng.normal(active, noise);
+    const LaneReals noisy = (a - b) + (0.0 + params_.inputNoiseRms * noise);
+    const LaneReals mag = (LaneReals)((LaneWords)noisy & kMagnitude);
+    const LaneMask forced =
+        active & (LaneMask)(mag <= LaneReals{} + metastableV_);
+    const LaneMask honest = active & ~forced;
+    LaneMask heads;
+    rng.coin(forced, heads);
+    aGreater = heads | (honest & (LaneMask)(noisy > LaneReals{}));
+    tally.forced -= (LaneWords)forced; // a set lane is -1
+    tally.honest -= (LaneWords)honest;
+
+    // Beyond the swing regeneration takes no time: clip |delta| there.
+    const LaneReals swing = LaneReals{} + process_.signalSwing;
+    const LaneReals one = LaneReals{} + 1.0;
+    tally.product *= honest ? (mag < swing ? mag : swing) : one;
+    const LaneMask wild = (LaneMask)(tally.product < one * 0x1p-500) |
+                          (LaneMask)(tally.product > one * 0x1p500);
+    if (anyLane(wild)) {
+        for (unsigned l = 0; l < kLanes; ++l) {
+            tally.lnFolded[l] += std::log(tally.product[l]);
+            tally.product[l] = 1.0;
+        }
+    }
 }
 
 } // namespace analog

@@ -45,6 +45,7 @@ SarAdc::setResolution(unsigned bits)
     cSigmaF_ = bridgeCapF_;
     for (unsigned i = 0; i < bits_; ++i)
         cSigmaF_ += capsF_[i];
+    levels_ = std::ldexp(1.0, static_cast<int>(bits_));
     voltsPerF_ = vref() / cSigmaF_;
     switchJ_ = params_.switchingAlpha * cSigmaF_ * vref() * vref();
 }
@@ -87,11 +88,53 @@ SarAdc::convert(double v_in, KeyedRng &rng)
     return sample(v_in, rng);
 }
 
+void
+SarAdc::convert(SarAdc *const (&adc)[kLanes], const LaneReals &v_in,
+                const LaneMask &active, KeyedLanes &rng, LaneWords &code)
+{
+    const SarAdc &first = *adc[0];
+    LaneReals vref, volts_per_f;
+    for (unsigned l = 0; l < kLanes; ++l) {
+        panic_if(adc[l]->bits_ != first.bits_,
+                 "lanes convert at different resolutions");
+        vref[l] = adc[l]->vref();
+        volts_per_f[l] = adc[l]->voltsPerF_;
+    }
+    // std::clamp(v_in, 0, vref), lane-wise.
+    const LaneReals zero = {};
+    LaneReals v = v_in < zero ? zero : v_in;
+    v = vref < v ? vref : v;
+
+    code = LaneWords{};
+    LaneReals dac_caps = {}; // capacitance switched to Vref, per lane
+    LaneTally tally;
+    for (unsigned i = first.bits_; i >= 1; --i) {
+        LaneReals cap;
+        for (unsigned l = 0; l < kLanes; ++l)
+            cap[l] = adc[l]->capsF_[i - 1];
+        const LaneReals trial_caps = dac_caps + cap;
+        LaneMask win;
+        first.comparator_.decide(v, trial_caps * volts_per_f, active, rng,
+                                 tally, win);
+        code |= (LaneWords)win & (std::uint64_t{1} << (i - 1));
+        dac_caps = win ? trial_caps : dac_caps;
+    }
+
+    for (unsigned l = 0; l < kLanes; ++l) {
+        if (!active[l])
+            continue;
+        SarAdc &a = *adc[l];
+        a.comparator_.accrue(tally, l);
+        a.energyJ_ += a.switchJ_;
+        a.energyJ_ += a.comparator_.energyJ();
+        a.comparator_.resetEnergy();
+    }
+}
+
 double
 SarAdc::reconstruct(std::uint32_t code) const
 {
-    const double levels = std::ldexp(1.0, static_cast<int>(bits_));
-    return vref() * (static_cast<double>(code) + 0.5) / levels;
+    return vref() * (static_cast<double>(code) + 0.5) / levels_;
 }
 
 double

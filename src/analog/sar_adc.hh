@@ -26,11 +26,9 @@
 
 #include "analog/comparator.hh"
 #include "analog/process.hh"
+#include "core/rng.hh"
 
 namespace redeye {
-
-class KeyedRng;
-class Rng;
 
 namespace analog {
 
@@ -72,6 +70,20 @@ class SarAdc
     /** As above, drawing from a keyed stream (core/rng.hh). */
     std::uint32_t convert(double v_in, KeyedRng &rng);
 
+    /**
+     * kLanes conversions in lockstep: lane l converts @p v_in[l] on
+     * @p adc[l], drawing from lane l of @p rng as convert() draws from
+     * that lane's KeyedRng, and gets its code in @p code[l]. Lanes
+     * outside @p active draw and accrue nothing, but their @p adc
+     * entry must still point at an ADC. Each active lane's ADC
+     * accrues that lane's energy, in lane order; lanes may share an
+     * ADC. The lanes' ADCs must share resolution and comparator
+     * parameters.
+     */
+    static void convert(SarAdc *const (&adc)[kLanes], const LaneReals &v_in,
+                        const LaneMask &active, KeyedLanes &rng,
+                        LaneWords &code);
+
     /** Ideal mid-rise reconstruction of a code to volts. */
     double reconstruct(std::uint32_t code) const;
 
@@ -109,6 +121,7 @@ class SarAdc
     double bridgeCapF_;         ///< terminating C0
     // Derived by setResolution().
     double cSigmaF_ = 0.0;   ///< active array capacitance C_sigma
+    double levels_ = 0.0;    ///< 2^bits, the reconstruction step count
     double voltsPerF_ = 0.0; ///< DAC volts per switched farad
     double switchJ_ = 0.0;   ///< array switching energy per conversion
     double energyJ_ = 0.0;

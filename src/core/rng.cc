@@ -1,6 +1,8 @@
 #include "core/rng.hh"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 namespace redeye {
 
@@ -59,6 +61,53 @@ KeyedRng::edge(unsigned layer, std::uint64_t u, double &x)
     const double y =
         z.f[layer] + uniform() * (z.f[layer + 1] - z.f[layer]);
     return y < std::exp(-0.5 * x * x);
+}
+
+void
+KeyedLanes::finish(const LaneMask &slow, const LaneWords &r, LaneReals &x)
+{
+    for (unsigned l = 0; l < kLanes; ++l) {
+        if (!slow[l])
+            continue;
+        // KeyedRng::normal() from its first word on: the edge test,
+        // and a fresh start when it rejects.
+        KeyedRng lane = KeyedRng::atState(state_[l]);
+        double mag = 0.0;
+        x[l] = lane.edge(r[l] & detail::Ziggurat::kLayerMask, r[l] >> 11,
+                         mag)
+                   ? KeyedRng::withSign(mag, r[l])
+                   : lane.normal();
+        state_[l] = lane.state_;
+        next_[l] = splitmix64(state_[l]);
+        after_[l] = splitmix64(state_[l] + kSplitMixGamma);
+    }
+}
+
+void
+KeyedLanes::firstNormals(std::uint64_t layer_key, std::size_t count,
+                         double *out)
+{
+    // A slow draw is marked NaN, which no draw yields, and settled
+    // after the loop, so that the loop never waits on a branch.
+    const LaneReals pending =
+        LaneReals{} + std::numeric_limits<double>::quiet_NaN();
+    std::size_t e = 0;
+    for (; e + kLanes <= count; e += kLanes) {
+        LaneWords r = layer_key ^ (e + kLaneIndex);
+        mix(r); // each stream's seed
+        mix(r); // and its first raw word
+        LaneReals x;
+        LaneMask slow;
+        fast(r, x, slow);
+        x = slow ? pending : x;
+        std::memcpy(out + e, &x, sizeof x);
+    }
+    for (; e < count; ++e)
+        out[e] = KeyedRng(layer_key, e).normal();
+    for (e = 0; e < count; ++e) {
+        if (std::isnan(out[e]))
+            out[e] = KeyedRng(layer_key, e).normal();
+    }
 }
 
 } // namespace redeye

@@ -57,6 +57,7 @@
 
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 
@@ -140,6 +141,9 @@ class Rng
     std::mt19937_64 engine_;
 };
 
+/** SplitMix64's increment, the golden ratio in 64-bit fixed point. */
+inline constexpr std::uint64_t kSplitMixGamma = 0x9e3779b97f4a7c15ULL;
+
 /**
  * SplitMix64 finalizer: a bijective 64-bit mixer with full avalanche,
  * used to decorrelate counter-derived seeds.
@@ -147,7 +151,7 @@ class Rng
 constexpr std::uint64_t
 splitmix64(std::uint64_t x)
 {
-    x += 0x9e3779b97f4a7c15ULL;
+    x += kSplitMixGamma;
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
     return x ^ (x >> 31);
@@ -251,7 +255,7 @@ class KeyedRng
     raw()
     {
         const std::uint64_t x = state_;
-        state_ += 0x9e3779b97f4a7c15ULL;
+        state_ += kSplitMixGamma;
         return splitmix64(x);
     }
 
@@ -281,11 +285,7 @@ class KeyedRng
                 x = static_cast<double>(u) * z.scale[layer];
             else if (!edge(layer, u, x))
                 continue;
-            // Bit 7 becomes the sign bit of x >= 0: branch-free, as
-            // the sign is a coin flip no predictor can learn.
-            return std::bit_cast<double>(
-                std::bit_cast<std::uint64_t>(x) |
-                (r & detail::Ziggurat::kSignBit) << 56);
+            return withSign(x, r);
         }
     }
 
@@ -300,6 +300,29 @@ class KeyedRng
     bool bernoulli(double p) { return uniform() < p; }
 
   private:
+    friend class KeyedLanes;
+
+    /** The stream whose next raw draw is splitmix64(@p state). */
+    static KeyedRng
+    atState(std::uint64_t state)
+    {
+        KeyedRng rng(0, 0);
+        rng.state_ = state;
+        return rng;
+    }
+
+    /**
+     * Magnitude @p x >= 0 signed by bit 7 of its word @p r:
+     * branch-free, as the sign is a coin flip no predictor can learn.
+     */
+    static double
+    withSign(double x, std::uint64_t r)
+    {
+        return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) |
+                                     (r & detail::Ziggurat::kSignBit)
+                                         << 56);
+    }
+
     /**
      * The ziggurat's slow path for a draw outside layer @p layer's
      * inner rectangle: the tail beyond R for layer 0, else the wedge
@@ -309,6 +332,157 @@ class KeyedRng
     bool edge(unsigned layer, std::uint64_t u, double &x);
 
     std::uint64_t state_ = 0;
+};
+
+/** Output elements the lane engine settles at once. */
+inline constexpr unsigned kLanes = 8;
+
+/**
+ * One value per lane, in GCC/Clang vector extensions: an AVX-512
+ * build holds a vector in one register, narrower ISAs split it, and
+ * the code is the same for all of them. Functions take and return
+ * these by reference: a by-value 64-byte vector's calling convention
+ * depends on the ISA, which gcc flags (-Wpsabi).
+ */
+using LaneWords = std::uint64_t
+    __attribute__((vector_size(kLanes * sizeof(std::uint64_t))));
+using LaneReals =
+    double __attribute__((vector_size(kLanes * sizeof(double))));
+/** Per-lane truth as vector comparisons yield it: all ones or zero. */
+using LaneMask = decltype(LaneReals{} < LaneReals{});
+
+/** Each lane's own index: lane l holds l. */
+inline constexpr LaneWords kLaneIndex = {0, 1, 2, 3, 4, 5, 6, 7};
+static_assert(kLanes == 8, "kLaneIndex lists every lane");
+
+/** True if any lane of @p m is set. */
+inline bool
+anyLane(const LaneMask &m)
+{
+    std::int64_t any = 0;
+    for (unsigned l = 0; l < kLanes; ++l)
+        any |= m[l];
+    return any != 0;
+}
+
+/**
+ * kLanes KeyedRng streams in lockstep: lane l is
+ * KeyedRng(layer_key, element[l]), draw for draw. Every draw takes a
+ * mask; lanes outside it neither draw nor advance, so each lane's
+ * sequence is its own KeyedRng's whatever the other lanes do.
+ */
+class KeyedLanes
+{
+  public:
+    KeyedLanes(std::uint64_t layer_key, const LaneWords &element)
+        : state_(layer_key ^ element)
+    {
+        mix(state_);
+        next_ = state_;
+        mix(next_);
+        after_ = state_ + kSplitMixGamma;
+        mix(after_);
+    }
+
+    /**
+     * KeyedRng::normal() on the lanes of @p mask, 0 on the others.
+     * The ziggurat's fast path runs on all lanes at once; the few
+     * lanes whose word falls outside its layer's inner rectangle
+     * finish on KeyedRng's scalar wedge and tail code.
+     */
+    void
+    normal(const LaneMask &mask, LaneReals &x)
+    {
+        LaneWords r;
+        raw(mask, r);
+        LaneMask slow;
+        fast(r, x, slow);
+        x = (LaneReals)((LaneWords)x & (LaneWords)mask);
+        slow &= mask;
+        if (anyLane(slow))
+            finish(slow, r, x);
+    }
+
+    /**
+     * The first normal() of @p count fresh streams:
+     * @p out[e] = KeyedRng(layer_key, e).normal() for e < count. Whole
+     * lane groups run the fast path without a branch on the draws;
+     * the few slow draws are settled after them, one by one.
+     */
+    static void firstNormals(std::uint64_t layer_key, std::size_t count,
+                             double *out);
+
+    /**
+     * KeyedRng::bernoulli(0.5) on the lanes of @p mask, false on the
+     * others: uniform() < 0.5 is the raw word's top bit clear.
+     */
+    void
+    coin(const LaneMask &mask, LaneMask &heads)
+    {
+        LaneWords r;
+        raw(mask, r);
+        heads = mask & (LaneMask)((r >> 63) == 0);
+    }
+
+  private:
+    /** splitmix64() on every lane. */
+    static void
+    mix(LaneWords &x)
+    {
+        x += kSplitMixGamma;
+        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+        x ^= x >> 31;
+    }
+
+    /**
+     * The ziggurat's fast path on every lane's raw word @p r: @p x
+     * gets the draw, valid on the lanes outside @p slow, whose words
+     * fail their layer's inner test.
+     */
+    static void
+    fast(const LaneWords &r, LaneReals &x, LaneMask &slow)
+    {
+        using detail::Ziggurat;
+        const Ziggurat &z = detail::ziggurat();
+        const LaneWords u = r >> 11; // 53 uniform bits
+        LaneWords inner;
+        LaneReals scale;
+        for (unsigned l = 0; l < kLanes; ++l) {
+            const unsigned layer = r[l] & Ziggurat::kLayerMask;
+            inner[l] = z.inner[layer];
+            scale[l] = z.scale[layer];
+        }
+        const LaneReals mag = __builtin_convertvector(u, LaneReals) * scale;
+        x = (LaneReals)((LaneWords)mag | (r & Ziggurat::kSignBit) << 56);
+        slow = (LaneMask)(u >= inner);
+    }
+
+    /**
+     * Next raw words of the lanes of @p mask; only they advance. The
+     * words are mixed two draws ahead, so neither a draw's tests nor
+     * the next draw wait out the mixer's multiplies: which lanes
+     * advance only selects between words already mixed.
+     */
+    void
+    raw(const LaneMask &mask, LaneWords &r)
+    {
+        r = next_;
+        next_ = mask ? after_ : next_;
+        state_ += kSplitMixGamma & (LaneWords)mask;
+        after_ = state_ + kSplitMixGamma;
+        mix(after_);
+    }
+
+    /**
+     * Settle the lanes of @p slow, whose words @p r failed the inner
+     * test, as KeyedRng::normal() does after its first word.
+     */
+    void finish(const LaneMask &slow, const LaneWords &r, LaneReals &x);
+
+    LaneWords state_; ///< each lane's KeyedRng state
+    LaneWords next_;  ///< splitmix64(state_): the next raw words
+    LaneWords after_; ///< the raw words after those
 };
 
 } // namespace redeye

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <deque>
 
 #include "core/logging.hh"
 #include "tensor/kernels.hh"
@@ -12,6 +14,19 @@ namespace redeye {
 namespace arch {
 
 namespace {
+
+/** kLanes output features, as the array stores them. */
+using LaneFloats =
+    float __attribute__((vector_size(kLanes * sizeof(float))));
+
+/** The kLanes values from @p v on. */
+template <class Lanes, class T>
+void
+loadLanes(const T *v, Lanes &x)
+{
+    static_assert(sizeof x == kLanes * sizeof *v);
+    std::memcpy(&x, v, sizeof x);
+}
 
 analog::MemoryCellParams
 bufferParamsFor(double snr_db)
@@ -306,48 +321,118 @@ ColumnArray::runConvolution(const Tensor &in,
     const std::size_t windows = os.h * os.w;
     std::vector<float> cols(taps * windows);
     kernels::im2col(image, is.c, is.h, is.w, wp, cols.data());
-    std::vector<float> dots(os.c * windows);
+
+    // Element e = oc * windows + win. The lanes settle kLanes
+    // adjacent elements at a time: adjacent windows of one output
+    // channel, whose draws, sums and outputs are adjacent too. The
+    // arrays pad one lane group, so a group never reads past them.
+    const std::size_t elements = os.c * windows;
+    std::vector<float> dots(elements + kLanes);
     kernels::gemm(kernel.matrix.data(), {os.c, taps}, cols.data(),
                   {taps, windows}, dots.data());
+    std::vector<double> noises(elements + kLanes);
+    KeyedLanes::firstNormals(layer_key, elements, noises.data());
 
-    // Kernels realized by columns with a stuck weight bit.
+    // Kernels realized by columns with a stuck weight bit; a deque
+    // keeps them in place as they turn up.
     struct Stuck {
         int bit;
         bool high;
         ConvKernel kernel;
+        double activeBits; ///< set weight bits over all channels
     };
-    std::vector<Stuck> stuck;
-    auto kernelFor = [&](const fault::ColumnFaults *cf)
-        -> const ConvKernel & {
-        if (!cf || cf->weightStuckBit < 0)
-            return kernel;
-        for (const Stuck &s : stuck) {
-            if (s.bit == cf->weightStuckBit &&
-                s.high == cf->weightStuckHigh)
-                return s.kernel;
+    std::deque<Stuck> stuck;
+    auto activeBits = [&](const ConvKernel &k) {
+        double bits = 0.0;
+        for (std::size_t oc = 0; oc < os.c; ++oc)
+            bits += k.activeBits[oc];
+        return bits;
+    };
+    const double kernel_bits = activeBits(kernel);
+
+    // The noise variance of element (oc, win) under kernel k, from
+    // the buffer noise weights of the window's kernel positions.
+    const std::size_t positions = p.kernelH * p.kernelW;
+    std::vector<double> buf_weight(positions);
+    auto variance = [&](const ConvKernel &k, std::size_t oc,
+                        bool plain) {
+        double buf_sum;
+        if (plain) {
+            buf_sum = k.codeSqTotal[oc] * (write_var + read_var);
+        } else {
+            buf_sum = 0.0;
+            for (std::size_t q = 0; q < positions; ++q)
+                buf_sum += k.codeSq[oc * positions + q] * buf_weight[q];
         }
-        stuck.push_back({cf->weightStuckBit, cf->weightStuckHigh,
-                         kernel.withStuckBit(cf->weightStuckBit,
-                                             cf->weightStuckHigh)});
-        return stuck.back().kernel;
+        return g2n * (bit_var * k.bitNoise[oc] + buf_scale * buf_sum) +
+               fixed_var;
     };
 
-    const std::size_t positions = p.kernelH * p.kernelW;
+    // Every element's noise rms. A plain window's (all taps on the
+    // image, none drooped) is a constant of the channel; the others
+    // are summed kLanes channels at a time, from the kernel's codeSq
+    // laid out position-major so that a group's channels sit side by
+    // side.
+    const std::size_t padded = (os.c + kLanes - 1) / kLanes * kLanes;
+    std::vector<double> sigmas(elements + kLanes);
+    std::vector<double> code_sq(positions * padded, 0.0);
+    std::vector<double> bit_noise(padded, 0.0);
+    for (std::size_t oc = 0; oc < os.c; ++oc) {
+        const double plain_sigma = std::sqrt(variance(kernel, oc, true));
+        std::fill_n(&sigmas[oc * windows], windows, plain_sigma);
+        bit_noise[oc] = kernel.bitNoise[oc];
+        for (std::size_t q = 0; q < positions; ++q)
+            code_sq[q * padded + oc] = kernel.codeSq[oc * positions + q];
+    }
+
+    // Per window: its buffer noise, its realized kernel and its fault
+    // hooks, as lane masks where they select.
     const std::vector<Port> ports = portsFor(os.w);
-    std::vector<double> buf_weight(positions);
-    double mac_bits = 0.0;
+    const std::size_t span = windows + kLanes;
+    std::vector<std::uint64_t> faulted(span, 0), dead(span, 0);
+    std::vector<double> offset(span, 0.0);
+    std::vector<const ConvKernel *> realized(windows, &kernel);
+    bool any_stuck = false, any_fault = false;
+    double mac_bits = 0.0; // set weight bits over all elements (exact)
     std::size_t mem_taps = 0;
-    Tensor out(Shape(1, os.c, os.h, os.w));
-    float *dst = out.data();
     for (std::size_t oy = 0; oy < os.h; ++oy) {
         for (std::size_t ox = 0; ox < os.w; ++ox) {
             const std::size_t win = oy * os.w + ox;
             const fault::ColumnFaults *cf = ports[ox].faults;
-            const ConvKernel &k = kernelFor(cf);
+            const ConvKernel *k = &kernel;
+            if (cf) {
+                any_fault = true;
+                faulted[win] = ~std::uint64_t{0};
+                offset[win] = cf->offsetV;
+                // Railed op amp: the column always reports full
+                // positive swing. Its MAC still ran and burned energy.
+                dead[win] = cf->dead ? ~std::uint64_t{0} : 0;
+            }
+            if (cf && cf->weightStuckBit >= 0) {
+                const Stuck *s = nullptr;
+                for (const Stuck &t : stuck) {
+                    if (t.bit == cf->weightStuckBit &&
+                        t.high == cf->weightStuckHigh)
+                        s = &t;
+                }
+                if (!s) {
+                    ConvKernel lowered = kernel.withStuckBit(
+                        cf->weightStuckBit, cf->weightStuckHigh);
+                    const double bits = activeBits(lowered);
+                    s = &stuck.emplace_back(
+                        Stuck{cf->weightStuckBit, cf->weightStuckHigh,
+                              std::move(lowered), bits});
+                }
+                k = realized[win] = &s->kernel;
+                mac_bits += s->activeBits;
+                any_stuck = true;
+            } else {
+                mac_bits += kernel_bits;
+            }
 
             // Buffer noise weight of each kernel position: zero off
             // the image, droop-scaled write noise plus read noise on
-            // it. `plain` windows take the precomputed channel sum.
+            // it.
             std::size_t in_bounds = 0;
             bool plain = true;
             for (std::size_t ky = 0; ky < p.kernelH; ++ky) {
@@ -371,53 +456,88 @@ ColumnArray::runConvolution(const Tensor &in,
                 }
             }
             mem_taps += in_bounds * is.c;
+            if (k != &kernel) {
+                for (std::size_t oc = 0; oc < os.c; ++oc) {
+                    sigmas[oc * windows + win] =
+                        std::sqrt(variance(*k, oc, plain));
+                }
+            } else if (!plain) {
+                for (std::size_t oc0 = 0; oc0 < os.c; oc0 += kLanes) {
+                    LaneReals buf_sum = {}, code_sq_q, bits;
+                    for (std::size_t q = 0; q < positions; ++q) {
+                        loadLanes(&code_sq[q * padded + oc0], code_sq_q);
+                        buf_sum += code_sq_q * buf_weight[q];
+                    }
+                    loadLanes(&bit_noise[oc0], bits);
+                    const LaneReals var =
+                        g2n * (bit_var * bits + buf_scale * buf_sum) +
+                        fixed_var;
+                    const std::size_t lanes =
+                        std::min<std::size_t>(kLanes, os.c - oc0);
+                    for (std::size_t l = 0; l < lanes; ++l)
+                        sigmas[(oc0 + l) * windows + win] =
+                            std::sqrt(var[l]);
+                }
+            }
+        }
+    }
 
-            for (std::size_t oc = 0; oc < os.c; ++oc) {
-                double dot;
-                if (&k == &kernel) {
-                    dot = dots[oc * windows + win];
-                } else {
-                    dot = 0.0;
+    Tensor out(Shape(1, os.c, os.h, os.w));
+    float *dst = out.data();
+    const LaneReals lo = LaneReals{} + (rectify ? 0.0 : -swing);
+    const LaneReals hi = LaneReals{} + swing;
+    for (std::size_t oc = 0; oc < os.c; ++oc) {
+        for (std::size_t win0 = 0; win0 < windows; win0 += kLanes) {
+            const std::size_t e0 = oc * windows + win0;
+            const std::size_t lanes =
+                std::min<std::size_t>(kLanes, windows - win0);
+            LaneFloats dot_f;
+            LaneReals sigma, noise;
+            loadLanes(&dots[e0], dot_f);
+            loadLanes(&sigmas[e0], sigma);
+            loadLanes(&noises[e0], noise);
+            LaneReals dot = __builtin_convertvector(dot_f, LaneReals);
+            if (any_stuck) {
+                // Windows under a stuck-weight column sum with that
+                // column's kernel.
+                for (std::size_t l = 0; l < lanes; ++l) {
+                    const std::size_t win = win0 + l;
+                    const ConvKernel &k = *realized[win];
+                    if (&k == &kernel)
+                        continue;
+                    double d = 0.0;
                     for (std::size_t t = 0; t < taps; ++t) {
-                        dot += static_cast<double>(
-                                   k.matrix[oc * taps + t]) *
-                               cols[t * windows + win];
+                        d += static_cast<double>(
+                                 k.matrix[oc * taps + t]) *
+                             cols[t * windows + win];
                     }
+                    dot[l] = d;
                 }
-                double buf_sum;
-                if (plain) {
-                    buf_sum = k.codeSqTotal[oc] * (write_var + read_var);
-                } else {
-                    buf_sum = 0.0;
-                    for (std::size_t q = 0; q < positions; ++q)
-                        buf_sum += k.codeSq[oc * positions + q] *
-                                   buf_weight[q];
-                }
-                mac_bits += k.activeBits[oc];
-                const double var =
-                    g2n * (bit_var * k.bitNoise[oc] +
-                           buf_scale * buf_sum) +
-                    fixed_var;
-                const std::size_t element = oc * windows + win;
-                KeyedRng rng(layer_key, element);
-                double volts = sys_gain * volts_per_code * dot +
-                               std::sqrt(var) * rng.normal();
-                if (p.bias)
-                    volts += layer.biases()[oc] / out_factor;
-                if (cf) {
-                    volts += cf->offsetV;
-                    if (cf->dead) {
-                        // Railed op amp: the column always reports
-                        // full positive swing. Its MAC still ran and
-                        // burned energy.
-                        volts = swing;
-                    }
-                }
-                // Physical clipping at the signal swing; rectified
-                // layers clip at zero as well (folded ReLU).
-                volts = std::clamp(volts, rectify ? 0.0 : -swing,
-                                   swing);
-                dst[element] = static_cast<float>(volts * out_factor);
+            }
+            LaneReals volts =
+                sys_gain * volts_per_code * dot + sigma * noise;
+            if (p.bias)
+                volts += layer.biases()[oc] / out_factor;
+            if (any_fault) {
+                LaneWords has_faults, is_dead;
+                LaneReals offsets;
+                loadLanes(&faulted[win0], has_faults);
+                loadLanes(&dead[win0], is_dead);
+                loadLanes(&offset[win0], offsets);
+                volts = (LaneMask)has_faults ? volts + offsets : volts;
+                volts = (LaneMask)is_dead ? hi : volts;
+            }
+            // Physical clipping at the signal swing; rectified layers
+            // clip at zero as well (folded ReLU).
+            volts = volts < lo ? lo : volts;
+            volts = hi < volts ? hi : volts;
+            const LaneFloats v =
+                __builtin_convertvector(volts * out_factor, LaneFloats);
+            if (lanes == kLanes) {
+                std::memcpy(dst + e0, &v, sizeof v);
+            } else {
+                for (std::size_t l = 0; l < lanes; ++l)
+                    dst[e0 + l] = v[l];
             }
         }
     }
@@ -456,45 +576,80 @@ ColumnArray::runMaxPool(const Tensor &in, const nn::MaxPoolLayer &layer)
                         last, 0L, static_cast<long>(extent)))};
     };
 
+    // Every input in volts, once: a value is read by several windows.
+    std::vector<double> volts(in.size());
+    for (std::size_t i = 0; i < volts.size(); ++i)
+        volts[i] = in[i] / in_scale * swing;
+
+    // Lane l's in-bounds window values, in the scalar walk's order:
+    // block[s][l] is its s-th comparison's challenger (s >= 1).
+    std::vector<LaneReals> block(p.kernel * p.kernel);
+    const analog::DynamicComparator &shared = cols_.front().comparator;
     Tensor out(Shape(1, os.c, os.h, os.w));
     float *dst = out.data();
-    std::size_t element = 0;
-    for (std::size_t oc = 0; oc < os.c; ++oc) {
-        const float *plane = in.data() + oc * is.h * is.w;
-        for (std::size_t oy = 0; oy < os.h; ++oy) {
+    const std::size_t total = out.size();
+    std::size_t oc = 0, oy = 0, ox = 0; // coordinates of the next lane
+    for (std::size_t e0 = 0; e0 < total; e0 += kLanes) {
+        const std::size_t lanes = std::min<std::size_t>(kLanes, total - e0);
+        const LaneWords element = e0 + kLaneIndex;
+        const LaneMask active = (LaneMask)(kLaneIndex < lanes);
+        LaneWords count = {};
+        LaneReals offset = {};
+        LaneMask shifted = {};
+        const fault::ColumnFaults *faults[kLanes] = {};
+        analog::DynamicComparator *cmp[kLanes] = {};
+        std::size_t steps = 0;
+        for (std::size_t l = 0; l < lanes; ++l) {
             const Span ys = span(oy, is.h);
-            for (std::size_t ox = 0; ox < os.w; ++ox, ++element) {
-                const Port &port = ports[ox];
-                const fault::ColumnFaults *cf = port.faults;
-                analog::DynamicComparator &cmp = port.column->comparator;
-                const Span xs = span(ox, is.w);
-                KeyedRng rng(layer_key, element);
-                bool have = false;
-                double best = 0.0;
-                for (std::size_t iy = ys.lo; iy < ys.hi; ++iy) {
-                    const float *row = plane + iy * is.w;
-                    for (std::size_t ix = xs.lo; ix < xs.hi; ++ix) {
-                        const double v = row[ix] / in_scale * swing;
-                        if (!have) {
-                            best = v;
-                            have = true;
-                            continue;
-                        }
-                        // Input-referred latch offset: the decision
-                        // sees the challenger shifted, but the
-                        // routed signal itself is unshifted.
-                        const double seen =
-                            cf ? v + cf->comparatorOffsetV : v;
-                        best = cmp.compare(seen, best, rng).aGreater
-                                   ? v
-                                   : best;
-                    }
-                }
-                if (cf && cf->dead)
-                    best = swing; // railed column
-                dst[element] = static_cast<float>(best * in_scale /
-                                                  swing);
+            const Span xs = span(ox, is.w);
+            const double *plane = volts.data() + oc * is.h * is.w;
+            std::size_t n = 0;
+            for (std::size_t iy = ys.lo; iy < ys.hi; ++iy) {
+                for (std::size_t ix = xs.lo; ix < xs.hi; ++ix)
+                    block[n++][l] = plane[iy * is.w + ix];
             }
+            if (n == 0)
+                block[0][l] = 0.0; // an empty window reads 0
+            steps = std::max(steps, n);
+            count[l] = n;
+            faults[l] = ports[ox].faults;
+            cmp[l] = &ports[ox].column->comparator;
+            if (faults[l]) {
+                // Input-referred latch offset: the decision sees the
+                // challenger shifted, but the routed signal itself is
+                // unshifted.
+                offset[l] = faults[l]->comparatorOffsetV;
+                shifted[l] = -1;
+            }
+            if (++ox == os.w) {
+                ox = 0;
+                if (++oy == os.h) {
+                    oy = 0;
+                    ++oc;
+                }
+            }
+        }
+
+        // The tournament, all lanes in lockstep; a lane whose window
+        // is exhausted sits the remaining steps out.
+        KeyedLanes rng(layer_key, element);
+        analog::LaneTally tally;
+        LaneReals best = block[0];
+        for (std::size_t s = 1; s < steps; ++s) {
+            const LaneReals v = block[s];
+            const LaneMask live =
+                active & (LaneMask)(count > LaneWords{} + s);
+            const LaneReals seen = shifted ? v + offset : v;
+            LaneMask win;
+            shared.decide(seen, best, live, rng, tally, win);
+            best = win ? v : best;
+        }
+        for (std::size_t l = 0; l < lanes; ++l) {
+            cmp[l]->accrue(tally, l);
+            const double b = faults[l] && faults[l]->dead
+                                 ? swing // railed column
+                                 : best[l];
+            dst[e0 + l] = static_cast<float>(b * in_scale / swing);
         }
     }
     return out;
@@ -520,29 +675,46 @@ ColumnArray::runQuantization(const Tensor &in, double full_scale)
     Tensor out(is);
     const float *src = in.data();
     float *dst = out.data();
-    const std::size_t rows = is.c * is.h;
-    for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t x = 0; x < is.w; ++x) {
-            const std::size_t element = r * is.w + x;
-            const fault::ColumnFaults *cf = ports[x].faults;
-            analog::SarAdc &adc = ports[x].column->adc;
+    const std::size_t total = in.size();
+    std::size_t x = 0; // column position of the next lane
+    for (std::size_t e0 = 0; e0 < total; e0 += kLanes) {
+        const std::size_t lanes = std::min<std::size_t>(kLanes, total - e0);
+        const LaneWords element = e0 + kLaneIndex;
+        const LaneMask active = (LaneMask)(kLaneIndex < lanes);
+        LaneReals volts = {};
+        const fault::ColumnFaults *faults[kLanes] = {};
+        analog::SarAdc *adc[kLanes];
+        for (std::size_t l = 0; l < kLanes; ++l) {
+            if (l >= lanes) {
+                adc[l] = adc[0]; // idle lane: converts nothing
+                continue;
+            }
+            faults[l] = ports[x].faults;
+            adc[l] = &ports[x].column->adc;
             const double v =
-                std::max(0.0, static_cast<double>(src[element]));
-            double volts = v / in_max * adc.vref();
-            if (cf && cf->dead)
-                volts = adc.vref(); // railed input
-            KeyedRng rng(layer_key, element);
-            auto code = adc.convert(volts, rng);
+                std::max(0.0, static_cast<double>(src[e0 + l]));
+            volts[l] = v / in_max * adc[l]->vref();
+            if (faults[l] && faults[l]->dead)
+                volts[l] = adc[l]->vref(); // railed input
+            if (++x == is.w)
+                x = 0;
+        }
+        KeyedLanes rng(layer_key, element);
+        LaneWords codes;
+        analog::SarAdc::convert(adc, volts, active, rng, codes);
+        for (std::size_t l = 0; l < lanes; ++l) {
+            const fault::ColumnFaults *cf = faults[l];
+            auto code = static_cast<std::uint32_t>(codes[l]);
             if (cf && cf->adcStuckBit >= 0 &&
-                cf->adcStuckBit < static_cast<int>(adc.resolution())) {
+                cf->adcStuckBit < static_cast<int>(adc[l]->resolution())) {
                 // Frozen SAR bit. Only bits the programmed resolution
                 // keeps in the array can stick; a stuck capacitor
                 // among the cut-off bits is harmless.
                 const std::uint32_t mask = 1u << cf->adcStuckBit;
                 code = cf->adcStuckHigh ? (code | mask) : (code & ~mask);
             }
-            dst[element] = static_cast<float>(
-                adc.reconstruct(code) / adc.vref() * in_max);
+            dst[e0 + l] = static_cast<float>(
+                adc[l]->reconstruct(code) / adc[l]->vref() * in_max);
         }
     }
     return out;

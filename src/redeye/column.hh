@@ -21,6 +21,11 @@
  * column map nor on the order elements are visited. DESIGN.md
  * ("Closed-form analog windows") derives the variance.
  *
+ * Like the array's columns, the engine settles output elements side
+ * by side: kLanes at a time in lockstep, one per SIMD lane, each on
+ * its own keyed stream (KeyedLanes), so the result is the same as
+ * settling them one by one.
+ *
  * Used for bit-level validation (does the analog pipeline compute
  * the ConvNet?) and for measuring realized SNR against the
  * noise-layer abstraction.
@@ -182,7 +187,12 @@ class ColumnArray
     const ColumnArrayConfig &config() const { return config_; }
 
   private:
-    /** Per-column comparator and (mismatched) SAR ADC. */
+    /**
+     * Per-column comparator and (mismatched) SAR ADC. Every column's
+     * are built from the same parameters, so the lane engine decides
+     * all lanes on one comparator's constants and accrues each lane
+     * to its own column.
+     */
     struct Column {
         Column(const ColumnArrayConfig &config,
                const analog::ProcessParams &process, Rng &rng);
@@ -221,7 +231,6 @@ class ColumnArray
 
     ColumnArrayConfig config_;
     analog::ProcessParams process_;
-    Rng rng_;
     std::vector<Column> cols_;
     analog::MacUnit mac_;              ///< conv-module parameters
     analog::AnalogMemoryCell buffer_;  ///< buffer-cell parameters

@@ -1,6 +1,7 @@
 /** @file Tests for the deterministic random stream. */
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
 #include <random>
@@ -389,6 +390,127 @@ TEST(KeyedRngTest, SuccessiveDrawsUncorrelated)
     const double bound = 4.0 / std::sqrt(static_cast<double>(n));
     EXPECT_LT(std::fabs(correlation(z0, z1)), bound);
     EXPECT_LT(std::fabs(correlation(m0, m1)), bound);
+}
+
+/** How KeyedRng::normal() settles an element's first draw. */
+enum class FirstDraw { Inner, Wedge, WedgeRejected, Tail };
+
+FirstDraw
+firstDraw(std::uint64_t layer_key, std::uint64_t e)
+{
+    using detail::Ziggurat;
+    const Ziggurat &z = detail::ziggurat();
+    KeyedRng probe(layer_key, e);
+    const std::uint64_t r = probe.raw();
+    const unsigned layer = r & Ziggurat::kLayerMask;
+    if ((r >> 11) < z.inner[layer])
+        return FirstDraw::Inner;
+    if (layer == 0)
+        return FirstDraw::Tail;
+    // An accepted wedge point takes two words (the draw and y), so
+    // the stream's next word is its third.
+    KeyedRng drawn(layer_key, e);
+    (void)drawn.normal();
+    (void)probe.raw();
+    return drawn.raw() == probe.raw() ? FirstDraw::Wedge
+                                      : FirstDraw::WedgeRejected;
+}
+
+/**
+ * Every lane of KeyedLanes is its element's KeyedRng, draw for draw,
+ * under arbitrary masks and with coins interleaved among the normals.
+ * The lanes include elements whose first normal takes the wedge, a
+ * rejected wedge (a fresh word) and the tail, found by search.
+ */
+TEST(KeyedLanesTest, LanesReproduceKeyedRngUnderMasks)
+{
+    const std::uint64_t key = keyedLayer(0x1a9e, 3);
+    constexpr std::size_t kEach = 4;
+    std::vector<std::uint64_t> found[4];
+    for (std::uint64_t e = 0;; ++e) {
+        ASSERT_LT(e, 10000000u) << "no tail or rejected-wedge element";
+        auto &bucket = found[static_cast<int>(firstDraw(key, e))];
+        if (bucket.size() < kEach)
+            bucket.push_back(e);
+        bool done = true;
+        for (const auto &b : found)
+            done &= b.size() == kEach;
+        if (done)
+            break;
+    }
+    std::vector<std::uint64_t> slow;
+    for (int kind = 1; kind < 4; ++kind)
+        slow.insert(slow.end(), found[kind].begin(), found[kind].end());
+
+    Rng pick(7);
+    for (int group = 0; group < 400; ++group) {
+        LaneWords element;
+        for (unsigned l = 0; l < kLanes; ++l) {
+            if (group == 0) // every lane slow at once
+                element[l] = slow[l];
+            else if (pick.bernoulli(0.4))
+                element[l] = slow[pick.uniformInt(0, slow.size() - 1)];
+            else
+                element[l] = pick.raw();
+        }
+        KeyedLanes lanes(key, element);
+        std::vector<KeyedRng> scalar;
+        for (unsigned l = 0; l < kLanes; ++l)
+            scalar.emplace_back(key, element[l]);
+        for (int draw = 0; draw < 16; ++draw) {
+            // The first draw is a normal on every lane, so the slow
+            // elements take their slow path through the lanes.
+            LaneMask mask;
+            for (unsigned l = 0; l < kLanes; ++l)
+                mask[l] = draw == 0 || pick.bernoulli(0.7) ? -1 : 0;
+            if (draw > 0 && pick.bernoulli(0.3)) {
+                LaneMask heads;
+                lanes.coin(mask, heads);
+                for (unsigned l = 0; l < kLanes; ++l) {
+                    const bool expect =
+                        mask[l] != 0 && scalar[l].bernoulli(0.5);
+                    ASSERT_EQ(heads[l] != 0, expect)
+                        << "group " << group << " draw " << draw
+                        << " lane " << l;
+                }
+                continue;
+            }
+            LaneReals x;
+            lanes.normal(mask, x);
+            for (unsigned l = 0; l < kLanes; ++l) {
+                const double expect = mask[l] ? scalar[l].normal() : 0.0;
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(x[l]),
+                          std::bit_cast<std::uint64_t>(expect))
+                    << "group " << group << " draw " << draw << " lane "
+                    << l << ": " << x[l] << " vs " << expect;
+            }
+        }
+    }
+}
+
+/**
+ * firstNormals() is each stream's first KeyedRng normal, bit for bit,
+ * for counts that leave partial lane groups and over elements whose
+ * draws take the wedge and the tail.
+ */
+TEST(KeyedLanesTest, FirstNormalsAreEachStreamsFirstDraw)
+{
+    const std::uint64_t key = keyedLayer(0x51a7, 1);
+    for (const std::size_t count : {0u, 5u, 8u, 4003u}) {
+        std::vector<double> out(count);
+        KeyedLanes::firstNormals(key, count, out.data());
+        int slow = 0;
+        for (std::size_t e = 0; e < count; ++e) {
+            const double expect = KeyedRng(key, e).normal();
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(out[e]),
+                      std::bit_cast<std::uint64_t>(expect))
+                << "count " << count << " element " << e;
+            slow += firstDraw(key, e) != FirstDraw::Inner;
+        }
+        if (count > 1000) {
+            EXPECT_GT(slow, 0) << "no draw took the slow path";
+        }
+    }
 }
 
 } // namespace

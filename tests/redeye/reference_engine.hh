@@ -138,6 +138,88 @@ class ReferenceColumnArray
     std::uint64_t faultFrame_ = 0;
 };
 
+/**
+ * The scalar keyed engine: ColumnArray as it was before the lane
+ * engine, settling one output element at a time. It draws from the
+ * same KeyedRng streams, so ColumnArray must reproduce its features
+ * and forced counts bit for bit, and its realized energies up to
+ * rounding.
+ */
+class ScalarColumnArray
+{
+  public:
+    ScalarColumnArray(ColumnArrayConfig config,
+                      analog::ProcessParams process, Rng rng);
+
+    /** Lower @p layer's kernel, then run it (ColumnArray's overload). */
+    Tensor runConvolution(const Tensor &in,
+                          nn::ConvolutionLayer &layer, bool rectify);
+
+    Tensor runConvolution(const Tensor &in,
+                          nn::ConvolutionLayer &layer,
+                          const ConvKernel &kernel, bool rectify);
+
+    Tensor runMaxPool(const Tensor &in, const nn::MaxPoolLayer &layer);
+
+    Tensor runQuantization(const Tensor &in);
+
+    Tensor runQuantization(const Tensor &in, double full_scale);
+
+    void setConvSnrDb(double snr_db);
+
+    void setAdcBits(unsigned bits);
+
+    void armFaults(const fault::FaultModel *faults,
+                   std::uint64_t frame = 0);
+
+    void setColumnMap(std::vector<std::size_t> map);
+
+    EnergyBreakdown energy() const;
+
+    void resetEnergy();
+
+    std::size_t forcedDecisions() const;
+
+  private:
+    struct Column {
+        Column(const ColumnArrayConfig &config,
+               const analog::ProcessParams &process, Rng &rng);
+
+        analog::DynamicComparator comparator;
+        analog::SarAdc adc;
+    };
+
+    struct Port {
+        Column *column = nullptr;
+        const fault::ColumnFaults *faults = nullptr; ///< nullptr: none
+    };
+
+    std::vector<Port> portsFor(std::size_t width);
+
+    std::size_t
+    physicalFor(std::size_t x) const
+    {
+        return map_.empty() ? x % cols_.size() : map_[x % map_.size()];
+    }
+
+    const fault::ColumnFaults *activeFaults(std::size_t physical) const;
+
+    std::uint64_t nextLayerKey() { return keyedLayer(key_, layer_++); }
+
+    ColumnArrayConfig config_;
+    analog::ProcessParams process_;
+    std::vector<Column> cols_;
+    analog::MacUnit mac_;
+    analog::AnalogMemoryCell buffer_;
+    std::uint64_t key_ = 0;
+    std::uint64_t layer_ = 0;
+    double macJ_ = 0.0;
+    double memoryJ_ = 0.0;
+    std::vector<std::size_t> map_;
+    const fault::FaultModel *faults_ = nullptr;
+    std::uint64_t faultFrame_ = 0;
+};
+
 } // namespace arch
 } // namespace redeye
 
