@@ -68,6 +68,15 @@ poolConfigFor(const FleetConfig &config)
     return pool;
 }
 
+/** The served topology: every class and the tuner's OpModelCache
+ * compile prefixes of this one network. */
+std::unique_ptr<nn::Network>
+servedNetwork()
+{
+    Rng init(0x3317a11);
+    return models::buildMiniGoogLeNet(data::kShapeClasses, init);
+}
+
 /** Content frame index: pure function of (session seed, frame). */
 std::uint64_t
 contentKey(std::uint64_t session_seed, std::uint64_t frame)
@@ -90,6 +99,7 @@ failItem(std::uint64_t frame, std::uint8_t attempt, std::uint8_t leg)
 
 FleetEngine::FleetEngine(const FleetConfig &config)
     : config_(config),
+      net_(servedNetwork()),
       programCache_(std::make_shared<arch::ProgramCache>()),
       db_(std::max<std::size_t>(1, config.sessions)),
       pool_(poolConfigFor(config)),
@@ -116,7 +126,7 @@ FleetEngine::FleetEngine(const FleetConfig &config)
         mc.host = config_.hostProcessor;
         mc.adcBoostBits = config_.pool.degrade.adcBoostBits;
         opModels_ = std::make_unique<tune::OpModelCache>(
-            *models_[0].net, programCache_, mc);
+            *net_, programCache_, mc);
     }
 
     for (std::size_t c = 0; c < kTrafficClasses; ++c)
@@ -130,62 +140,34 @@ FleetEngine::~FleetEngine() = default;
 void
 FleetEngine::buildClassModels()
 {
+    const double full_macs = static_cast<double>(net_->totalMacs());
     for (std::size_t c = 0; c < kTrafficClasses; ++c) {
         const QosClassConfig &q = config_.qos[c];
-        ClassModel &m = models_[c];
+        tune::OperatingPoint op;
+        op.snrDb = q.convSnrDb;
+        op.adcBits = q.adcBits;
+        op.depth = q.depth;
 
-        // Every class serves the same trained topology (identical
-        // structural hash); only the operating point differs, so the
-        // shared ProgramCache keys exactly one compilation per class.
-        Rng init(0x3317a11);
-        m.net = models::buildMiniGoogLeNet(data::kShapeClasses, init);
-        m.analogLayers = models::miniGoogLeNetAnalogLayers(q.depth);
-
-        m.deviceConfig.adcBits = q.adcBits;
-        m.deviceConfig.convSnrDb = q.convSnrDb;
-        m.deviceConfig.columns = models::kMiniInputSize;
-
-        auto prog = programCache_->compileOrStatus(
-            *m.net, m.analogLayers, m.deviceConfig);
-        fatal_if(!prog.ok(), prog.status().message());
-        m.program = std::move(prog.value());
-
-        const auto schedule =
-            arch::scheduleProgram(*m.program, m.deviceConfig);
-        m.deviceS = schedule.frameLatencyS;
-        m.analogJ = arch::RedEyeModel(*m.program, m.deviceConfig)
-                        .estimateFrame()
-                        .energy.totalJ();
-
-        // The Remap serving point: same cut, ADC boosted the way the
-        // degradation policy programs it (stream/degrade.hh).
-        arch::RedEyeConfig remap_cfg = m.deviceConfig;
-        remap_cfg.adcBits += config_.pool.degrade.adcBoostBits;
-        auto remap = programCache_->compileOrStatus(
-            *m.net, m.analogLayers, remap_cfg);
-        fatal_if(!remap.ok(), remap.status().message());
-        m.remapDeviceS =
-            arch::scheduleProgram(*remap.value(), remap_cfg)
-                .frameLatencyS;
-        m.remapAnalogJ =
-            arch::RedEyeModel(*remap.value(), remap_cfg)
-                .estimateFrame()
-                .energy.totalJ();
-
-        const double full_macs =
-            static_cast<double>(m.net->totalMacs());
-        const double tail_macs = static_cast<double>(
-            models::digitalTailMacs(*m.net, m.analogLayers));
-        sys::JetsonTk1 host(sys::JetsonParams::paper(
+        // Only the operating point differs across classes, so the
+        // shared ProgramCache keys exactly one compilation (plus its
+        // Remap variant) per class. The host is calibrated at the
+        // class's own cut, not at OpModelCache's depth-5 anchor.
+        const double tail_macs =
+            static_cast<double>(models::digitalTailMacs(
+                *net_, models::miniGoogLeNetAnalogLayers(q.depth)));
+        const sys::JetsonTk1 host(sys::JetsonParams::paper(
             config_.hostProcessor, full_macs, tail_macs));
-        m.hostTailS = host.executionTimeS(tail_macs);
-        m.hostTailJ = host.executionEnergyJ(tail_macs);
-        m.hostFullS = host.executionTimeS(full_macs);
-        m.hostFullJ = host.executionEnergyJ(full_macs);
+        auto model = tune::buildOpModel(
+            *net_, *programCache_, op,
+            config_.pool.degrade.adcBoostBits, host);
+        fatal_if(!model.ok(), model.status().message());
 
+        ClassModel &m = models_[c];
+        m.model = std::move(model.value());
         m.sloS = q.sloLatencyS > 0.0
                      ? q.sloLatencyS
-                     : q.sloMultiplier * (m.deviceS + m.hostTailS);
+                     : q.sloMultiplier *
+                           (m.model.deviceS + m.model.hostTailS);
     }
 
     // Mix-weighted service times for the brownout controller's
@@ -205,21 +187,21 @@ FleetEngine::buildClassModels()
     mixServiceS_ = 0.0;
     mixHostFullS_ = 0.0;
     for (std::size_t c = 0; c < kTrafficClasses; ++c) {
-        mixServiceS_ += share[c] * models_[c].deviceS;
-        mixHostFullS_ += share[c] * models_[c].hostFullS;
+        mixServiceS_ += share[c] * models_[c].model.deviceS;
+        mixHostFullS_ += share[c] * models_[c].model.hostFullS;
     }
 }
 
 double
 FleetEngine::classDeviceS(TrafficClass cls) const
 {
-    return models_[classIndex(cls)].deviceS;
+    return models_[classIndex(cls)].model.deviceS;
 }
 
 double
 FleetEngine::classHostS(TrafficClass cls) const
 {
-    return models_[classIndex(cls)].hostTailS;
+    return models_[classIndex(cls)].model.hostTailS;
 }
 
 double
@@ -277,9 +259,9 @@ FleetEngine::admitSessions()
 
         // Re-deriving the program per session is the content-address
         // demonstration: one compile per class, N-1 cache hits.
-        ClassModel &m = models_[classIndex(cls)];
+        const tune::OpModel &m = models_[classIndex(cls)].model;
         auto prog = programCache_->compileOrStatus(
-            *m.net, m.analogLayers, m.deviceConfig);
+            *net_, m.analogLayers, m.device);
         fatal_if(!prog.ok(), prog.status().message());
         s.program = std::move(prog.value());
 
@@ -502,19 +484,11 @@ FleetEngine::onArrival(const Event &event)
     dispatchDevices(now);
 }
 
-FleetEngine::ServingView
+const tune::OpModel &
 FleetEngine::servingFor(const Session &s) const
 {
-    if (s.opModel != nullptr) {
-        const tune::OpModel &m = *s.opModel;
-        return ServingView{m.deviceS,   m.remapDeviceS, m.analogJ,
-                           m.remapAnalogJ, m.hostTailS, m.hostTailJ,
-                           m.hostFullS, m.hostFullJ};
-    }
-    const ClassModel &m = models_[classIndex(s.cls)];
-    return ServingView{m.deviceS,   m.remapDeviceS, m.analogJ,
-                       m.remapAnalogJ, m.hostTailS, m.hostTailJ,
-                       m.hostFullS, m.hostFullJ};
+    return s.opModel != nullptr ? *s.opModel
+                                : models_[classIndex(s.cls)].model;
 }
 
 double
@@ -522,7 +496,7 @@ FleetEngine::deviceServiceS(const DeviceSlot &device,
                             const QueuedFrame &qf) const
 {
     const Session *s = db_.find(qf.session);
-    const ServingView m = servingFor(*s);
+    const tune::OpModel &m = servingFor(*s);
     switch (device.health) {
       case stream::DegradeMode::Normal:
         return m.deviceS;
@@ -567,7 +541,7 @@ FleetEngine::dispatchDevices(double now_s)
         }
         const DeviceSlot &slot =
             pool_.device(static_cast<std::size_t>(dev));
-        const ServingView m = servingFor(*s);
+        const tune::OpModel &m = servingFor(*s);
         const QosClassConfig &q = config_.qos[cls];
 
         // Leg-specific copy: bypass/energy depend on the leased
@@ -934,7 +908,7 @@ FleetEngine::onHedgeFire(const Event &event)
         return;
     }
 
-    const ServingView m = servingFor(*s);
+    const tune::OpModel &m = servingFor(*s);
     const DeviceSlot &slot =
         pool_.device(static_cast<std::size_t>(dev));
 
@@ -1362,7 +1336,7 @@ FleetEngine::dispatchHosts(double now_s)
         }
 
         const int host = pool_.leaseHost(qf.session);
-        const ServingView m = servingFor(*s);
+        const tune::OpModel &m = servingFor(*s);
 
         double service = qf.bypass ? m.hostFullS : m.hostTailS;
         const double energy = qf.bypass ? m.hostFullJ : m.hostTailJ;

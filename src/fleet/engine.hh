@@ -87,6 +87,7 @@
 #include "redeye/compiler.hh"
 #include "system/jetson.hh"
 #include "tune/controller.hh"
+#include "tune/op_model.hh"
 #include "tune/scene.hh"
 
 namespace redeye {
@@ -362,40 +363,16 @@ class FleetEngine
 
     /** Immutable per-class serving model (built at construction). */
     struct ClassModel {
-        std::unique_ptr<nn::Network> net;
-        std::vector<std::string> analogLayers;
-        std::shared_ptr<const arch::Program> program;
-        arch::RedEyeConfig deviceConfig;
-
-        double deviceS = 0.0;      ///< healthy analog frame time
-        double remapDeviceS = 0.0; ///< ADC-boosted frame time
-        double analogJ = 0.0;      ///< healthy analog frame energy
-        double remapAnalogJ = 0.0; ///< ADC-boosted frame energy
-        double hostTailS = 0.0;    ///< digital tail time
-        double hostTailJ = 0.0;
-        double hostFullS = 0.0;    ///< full network (bypass) time
-        double hostFullJ = 0.0;
-        double sloS = 0.0;         ///< effective latency SLO
+        tune::OpModel model; ///< the class operating point's numbers
+        double sloS = 0.0;   ///< effective latency SLO
     };
 
     /**
      * The serving numbers a session's frames are priced with: the
      * tuned operating point's OpModel when one is active, the class
-     * model otherwise. With the tuner off every session resolves to
-     * its class model, so the view is a pure refactor of the old
-     * models_[cls] reads — values, and therefore runs, identical.
+     * model otherwise.
      */
-    struct ServingView {
-        double deviceS = 0.0;
-        double remapDeviceS = 0.0;
-        double analogJ = 0.0;
-        double remapAnalogJ = 0.0;
-        double hostTailS = 0.0;
-        double hostTailJ = 0.0;
-        double hostFullS = 0.0;
-        double hostFullJ = 0.0;
-    };
-    ServingView servingFor(const Session &s) const;
+    const tune::OpModel &servingFor(const Session &s) const;
 
     void buildClassModels();
     void admitSessions();
@@ -438,6 +415,9 @@ class FleetEngine
     FleetReport buildReport() const;
 
     FleetConfig config_;
+    /** The served network: every class and the tuner's
+     * OpModelCache compile prefixes of it. */
+    std::unique_ptr<nn::Network> net_;
     std::array<ClassModel, kTrafficClasses> models_;
     std::shared_ptr<arch::ProgramCache> programCache_;
 

@@ -325,51 +325,19 @@ ProgramCache::compileOrStatus(
     nn::Network &net, const std::vector<std::string> &analog_layers,
     const RedEyeConfig &config)
 {
-    const std::uint64_t key = programKey(net, analog_layers, config);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = programs_.find(key);
-        if (it != programs_.end()) {
-            ++hits_;
-            return it->second;
-        }
-    }
-    // Compile outside the lock; the compiler is pure, so a racing
-    // duplicate compilation yields an identical program.
-    StatusOr<Program> prog =
-        arch::compileOrStatus(net, analog_layers, config);
-    if (!prog.ok())
-        return prog.status();
-    auto shared =
-        std::make_shared<const Program>(std::move(prog.value()));
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto [it, inserted] = programs_.emplace(key, std::move(shared));
-    if (inserted)
-        ++misses_;
-    else
-        ++hits_;
-    return it->second;
-}
-
-std::uint64_t
-ProgramCache::hits() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
-}
-
-std::uint64_t
-ProgramCache::misses() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return misses_;
-}
-
-std::size_t
-ProgramCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return programs_.size();
+    auto entry = programs_.fetchOrStatus(
+        programKey(net, analog_layers, config),
+        [&]() -> StatusOr<std::shared_ptr<const Program>> {
+            StatusOr<Program> prog =
+                arch::compileOrStatus(net, analog_layers, config);
+            if (!prog.ok())
+                return prog.status();
+            return std::make_shared<const Program>(
+                std::move(prog.value()));
+        });
+    if (!entry.ok())
+        return entry.status();
+    return *entry.value();
 }
 
 } // namespace arch

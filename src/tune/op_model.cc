@@ -10,15 +10,65 @@
 namespace redeye {
 namespace tune {
 
+StatusOr<OpModel>
+buildOpModel(nn::Network &net, arch::ProgramCache &programs,
+             const OperatingPoint &op, unsigned adc_boost_bits,
+             const sys::JetsonTk1 &host)
+{
+    OpModel m;
+    m.op = op;
+    m.analogLayers = models::miniGoogLeNetAnalogLayers(op.depth);
+    m.device.adcBits = op.adcBits;
+    m.device.convSnrDb = op.snrDb;
+    m.device.columns = models::kMiniInputSize;
+
+    auto prog = programs.compileOrStatus(net, m.analogLayers, m.device);
+    if (!prog.ok())
+        return prog.status();
+    m.program = std::move(prog.value());
+    m.deviceS =
+        arch::scheduleProgram(*m.program, m.device).frameLatencyS;
+    m.analogJ = arch::RedEyeModel(*m.program, m.device)
+                    .estimateFrame()
+                    .energy.totalJ();
+
+    // The Remap serving point: same cut, ADC boosted the way the
+    // degradation policy programs it (stream/degrade.hh).
+    arch::RedEyeConfig remap_cfg = m.device;
+    remap_cfg.adcBits += adc_boost_bits;
+    auto remap = programs.compileOrStatus(net, m.analogLayers, remap_cfg);
+    if (!remap.ok())
+        return remap.status();
+    m.remapProgram = std::move(remap.value());
+    m.remapDeviceS =
+        arch::scheduleProgram(*m.remapProgram, remap_cfg)
+            .frameLatencyS;
+    m.remapAnalogJ = arch::RedEyeModel(*m.remapProgram, remap_cfg)
+                         .estimateFrame()
+                         .energy.totalJ();
+
+    // Evaluate the host at *this* cut's tail, so moving layers into
+    // analog really shrinks the modeled digital spend — the whole
+    // energy argument for the depth knob.
+    const double full_macs = static_cast<double>(net.totalMacs());
+    const double tail_macs = static_cast<double>(
+        models::digitalTailMacs(net, m.analogLayers));
+    m.hostTailS = host.executionTimeS(tail_macs);
+    m.hostTailJ = host.executionEnergyJ(tail_macs);
+    m.hostFullS = host.executionTimeS(full_macs);
+    m.hostFullJ = host.executionEnergyJ(full_macs);
+    return m;
+}
+
 OpModelCache::OpModelCache(nn::Network &net,
                            std::shared_ptr<arch::ProgramCache>
                                programs,
                            Config config)
-    : net_(net), programs_(std::move(programs)),
-      config_(config),
-      fullMacs_(static_cast<double>(net.totalMacs())),
-      depth5TailMacs_(static_cast<double>(models::digitalTailMacs(
-          net, models::miniGoogLeNetAnalogLayers(5))))
+    : net_(net), programs_(std::move(programs)), config_(config),
+      host_(sys::JetsonParams::paper(
+          config.host, static_cast<double>(net.totalMacs()),
+          static_cast<double>(models::digitalTailMacs(
+              net, models::miniGoogLeNetAnalogLayers(5)))))
 {
     fatal_if(programs_ == nullptr,
              "OpModelCache needs a program cache");
@@ -31,87 +81,17 @@ OpModelCache::OpModelCache(nn::Network &net,
 {
 }
 
-OpModel
-OpModelCache::build(const OperatingPoint &op) const
-{
-    OpModel m;
-    m.op = op;
-
-    const std::vector<std::string> analog_layers =
-        models::miniGoogLeNetAnalogLayers(op.depth);
-
-    arch::RedEyeConfig device;
-    device.adcBits = op.adcBits;
-    device.convSnrDb = op.snrDb;
-    device.columns = models::kMiniInputSize;
-
-    auto prog =
-        programs_->compileOrStatus(net_, analog_layers, device);
-    fatal_if(!prog.ok(), "operating point ", op.str(),
-             " does not compile: ", prog.status().message());
-    m.program = std::move(prog.value());
-    m.deviceS =
-        arch::scheduleProgram(*m.program, device).frameLatencyS;
-    m.analogJ = arch::RedEyeModel(*m.program, device)
-                    .estimateFrame()
-                    .energy.totalJ();
-
-    arch::RedEyeConfig remap_cfg = device;
-    remap_cfg.adcBits += config_.adcBoostBits;
-    auto remap =
-        programs_->compileOrStatus(net_, analog_layers, remap_cfg);
-    fatal_if(!remap.ok(), "remap variant of ", op.str(),
-             " does not compile: ", remap.status().message());
-    m.remapProgram = std::move(remap.value());
-    m.remapDeviceS =
-        arch::scheduleProgram(*m.remapProgram, remap_cfg)
-            .frameLatencyS;
-    m.remapAnalogJ = arch::RedEyeModel(*m.remapProgram, remap_cfg)
-                         .estimateFrame()
-                         .energy.totalJ();
-
-    // Calibrate the host's MACs->time line once from the paper's two
-    // measured anchors (full network, depth-5 tail), then evaluate
-    // at *this* cut's tail — so moving layers into analog really
-    // shrinks the modeled digital spend, which is the whole energy
-    // argument for the depth knob.
-    const double tail_macs = static_cast<double>(
-        models::digitalTailMacs(net_, analog_layers));
-    sys::JetsonTk1 host(sys::JetsonParams::paper(
-        config_.host, fullMacs_, depth5TailMacs_));
-    m.hostTailS = host.executionTimeS(tail_macs);
-    m.hostTailJ = host.executionEnergyJ(tail_macs);
-    m.hostFullS = host.executionTimeS(fullMacs_);
-    m.hostFullJ = host.executionEnergyJ(fullMacs_);
-    return m;
-}
-
 const OpModel &
 OpModelCache::fetch(const OperatingPoint &op)
 {
-    const std::uint64_t key = operatingPointKey(op);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = models_.find(key);
-        if (it != models_.end()) {
-            ++hits_;
-            return it->second;
-        }
-    }
-
-    // Build outside the lock (compiling is slow); two threads racing
-    // on a fresh key both build, purity makes the results equal, and
-    // only the first insert is kept. Same contract as
-    // stream::DegradePlanCache.
-    OpModel model = build(op);
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto [it, inserted] = models_.emplace(key, std::move(model));
-    if (inserted)
-        ++misses_;
-    else
-        ++hits_;
-    return it->second;
+    auto model =
+        models_.fetchOrStatus(operatingPointKey(op), [&]() {
+            return buildOpModel(net_, *programs_, op,
+                                config_.adcBoostBits, host_);
+        });
+    fatal_if(!model.ok(), "operating point ", op.str(),
+             " does not compile: ", model.status().message());
+    return *model.value();
 }
 
 OpCost
@@ -135,27 +115,6 @@ OpModelCache::costFor(const OperatingPoint &op,
         break;
     }
     return cost;
-}
-
-std::uint64_t
-OpModelCache::hits() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
-}
-
-std::uint64_t
-OpModelCache::misses() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return misses_;
-}
-
-std::size_t
-OpModelCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return models_.size();
 }
 
 } // namespace tune

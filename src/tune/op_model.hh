@@ -17,8 +17,9 @@
  * no stale plan can be served because the key *is* the operating
  * point.
  *
- * Like the fleet engine's per-class models, the cache serves the
- * mini-GoogLeNet topology (models/mini_googlenet.hh); only the
+ * buildOpModel() is the one derivation of these numbers: the cache
+ * and the fleet engine's per-class models both call it on the one
+ * mini-GoogLeNet topology (models/mini_googlenet.hh). Only the
  * operating point varies across entries, so the network's structural
  * hash is shared and the ProgramCache dedupes across every consumer
  * in the process.
@@ -28,11 +29,12 @@
 #define REDEYE_TUNE_OP_MODEL_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
+#include <string>
 #include <vector>
 
+#include "core/content_cache.hh"
+#include "core/status.hh"
 #include "redeye/compiler.hh"
 #include "stream/degrade.hh"
 #include "system/jetson.hh"
@@ -49,6 +51,11 @@ namespace tune {
 /** Analytic serving numbers of one operating point. */
 struct OpModel {
     OperatingPoint op;
+
+    /** The analog prefix at op.depth and the array configuration
+     * the program compiles for. */
+    std::vector<std::string> analogLayers;
+    arch::RedEyeConfig device;
 
     /** The compiled analog program (shared ProgramCache entry). */
     std::shared_ptr<const arch::Program> program;
@@ -72,6 +79,19 @@ struct OpCost {
     double energyJ = 0.0; ///< analog + host energy per frame
     double timeS = 0.0;   ///< unloaded service time per frame
 };
+
+/**
+ * Serving numbers of @p op on @p net: compiles the program and its
+ * Remap variant (ADC + @p adc_boost_bits) through @p programs,
+ * schedules and prices both, and evaluates @p host at the cut's
+ * digital tail and at the full network. A compile failure is
+ * returned as the compiler's Status.
+ */
+StatusOr<OpModel> buildOpModel(nn::Network &net,
+                               arch::ProgramCache &programs,
+                               const OperatingPoint &op,
+                               unsigned adc_boost_bits,
+                               const sys::JetsonTk1 &host);
 
 /** Thread-safe cache of OpModels keyed by operatingPointKey(). */
 class OpModelCache
@@ -115,25 +135,19 @@ class OpModelCache
     OpCost costFor(const OperatingPoint &op,
                    stream::DegradeMode mode);
 
-    std::uint64_t hits() const;
-    std::uint64_t misses() const;
-    std::size_t size() const;
-
-    const arch::ProgramCache &programs() const { return *programs_; }
+    std::uint64_t hits() const { return models_.hits(); }
+    std::uint64_t misses() const { return models_.misses(); }
+    std::size_t size() const { return models_.size(); }
 
   private:
-    OpModel build(const OperatingPoint &op) const;
-
     nn::Network &net_;
     std::shared_ptr<arch::ProgramCache> programs_;
     Config config_;
-    double fullMacs_ = 0.0;
-    double depth5TailMacs_ = 0.0; ///< paper calibration anchor
 
-    mutable std::mutex mutex_;
-    std::map<std::uint64_t, OpModel> models_;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
+    /** Host calibrated on the paper's anchors: full network and the
+     * depth-5 tail. */
+    sys::JetsonTk1 host_;
+    ContentCache<OpModel> models_;
 };
 
 } // namespace tune
